@@ -20,20 +20,21 @@
 //!   `(master seed, p)` alone, a partition computes bit-identical state no
 //!   matter which node hosts it. Ingest batches fan out by owner, with
 //!   order preserved per partition.
-//! * **Cross-node view merge.** Queries are answered from a *merged*
-//!   [`fews_engine::GlobalView`] assembled from per-node view pulls. Each
-//!   pull carries an epoch watermark (the worker's publish counter): a
-//!   quiesced worker answers "unchanged" in O(1) and the router reuses its
-//!   cached, already-decoded contribution — the PR 5 epoch trick, across
-//!   the wire. A fully quiesced cluster answers `certified`/`certify`/
-//!   `top` without touching any worker at all.
+//! * **Query pushdown.** A FEwW answer is one vertex plus its witnesses,
+//!   and partitions own disjoint vertex sets, so every answer is a merge
+//!   of the workers' own answers over their partitions. The router sends
+//!   each partition's designated reader one scoped query, answered from
+//!   the worker's published snapshot, and merges the ranked answers
+//!   ([`fews_engine::GlobalView::merge_certified`] /
+//!   [`fews_engine::GlobalView::merge_top`]). It keeps no view and no
+//!   refresher of its own: fresh reads ride each worker's watermark, and
+//!   the router's lock stays off the read path.
 //! * **Replicated ownership.** Each partition has R owners
 //!   ([`RouterOptions::replicas`], default 2): the ring neighbours
 //!   `(p + k) % N`, primary first. Ingest fans out to every live owner
 //!   with pipelined sends (all frames written, then all acks collected —
-//!   one round-trip for R replicas), and the view merge picks each
-//!   partition's contribution from its first live owner (a *designated
-//!   reader*), deduping whatever the other replicas shipped. Because
+//!   one round-trip for R replicas), and reads ask each partition of its
+//!   first live owner only (its *designated reader*). Because
 //!   partition state is a pure function of `(seed, p, stream)`, replicas
 //!   agree byte-for-byte by construction — no consensus round needed —
 //!   and at R ≥ 2 a single node loss degrades to "read from the replica"

@@ -1,10 +1,9 @@
 //! The partition-routing coordinator.
 //!
 //! One [`Router`] fronts N `fews-net` worker processes. It is a protocol v3
-//! server on its public side and a `fews-net` client on its worker side;
-//! everything it knows lives in one [`Inner`] behind a mutex (request
-//! handling serializes at the router, the workers' own shard pools provide
-//! the parallelism).
+//! server on its public side and a `fews-net` client on its worker side.
+//! Its membership, retained logs and ingest fan-out live in one [`Inner`]
+//! behind a mutex; reads never take it on their success path (see *Reads*).
 //!
 //! ## Consistency argument
 //!
@@ -25,17 +24,28 @@
 //! Each partition has [`RouterOptions::replicas`] owners (`(p + k) % N` for
 //! `k < R`, primary first). Ingest fans out to every live owner — sends are
 //! pipelined (all frames written, then all acks collected) so R-way
-//! replication costs one round-trip, not R. Queries pull an epoch-gated
-//! view from every live node and merge by **designated reader**: each
-//! partition's contribution is taken from its first live owner, so replicas
-//! shipping overlapping partitions dedup by partition id and the merge is
-//! byte-identical to a single engine's regardless of which replicas are up.
-//! At R ≥ 2 a node loss therefore degrades to "read from the replica" with
-//! no recovery pause; only a partition with *no* live owner forces a
-//! bounded rejoin attempt on the query path (the R=1 behaviour), and only
-//! its failure surfaces as [`ErrorCode::NodeUnavailable`]. Down nodes are
-//! repaired in the background by the heartbeat thread instead of stalling
-//! ingest or queries.
+//! replication costs one round-trip, not R. Each partition is read from
+//! its **designated reader**, its first live owner, so at R ≥ 2 a node
+//! loss degrades to "read from the replica" with no recovery pause; only a
+//! partition with *no* live owner forces a bounded rejoin attempt on the
+//! query path (the R=1 behaviour), and only its failure surfaces as
+//! [`ErrorCode::NodeUnavailable`]. Down nodes are repaired in the
+//! background by the heartbeat thread instead of stalling ingest or
+//! queries.
+//!
+//! ## Reads
+//!
+//! The cluster partitions by vertex, so every answer is a merge of the
+//! designated readers' own answers over their partitions: a `certified`,
+//! `certify v` or `top k` is pushed down to them as one
+//! [`Request::ScopedQuery`] each, answered from the worker's published
+//! snapshot, and merged by rank ([`GlobalView::merge_certified`],
+//! [`GlobalView::merge_top`]). The router has no freshness mechanism of
+//! its own: a fresh read asks each reader to cover the ingest watermark it
+//! acked to the router, a `?stale` read takes the readers' latest
+//! snapshots. A read plans from a [`ReadPlan`] that [`Inner`] republishes
+//! before every ack that follows a change, so it never goes to a node that
+//! missed an acked batch, and only a node failure makes it take the lock.
 //!
 //! Acknowledged ingest means *retained at the router*: a batch is acked
 //! once it is logged (and, with a data dir, fsynced) and offered to every
@@ -59,20 +69,21 @@
 
 use fews_common::rng::derive_seed;
 use fews_common::SpaceId;
-use fews_core::wire::MemoryState;
-use fews_engine::checkpoint::{self, unwrap_envelope, Header};
+use fews_engine::checkpoint::{self, unwrap_envelope};
 use fews_engine::wal::{wal_path, SpaceDir, Wal};
-use fews_engine::{partition_of, Engine, EngineConfig, GlobalView, ModelSpec};
+use fews_engine::{partition_of, Engine, EngineConfig, GlobalView};
+use fews_net::client::unexpected;
 use fews_net::proto::{body_fits, check_frame_len, FrameError};
+use fews_net::server::validate_batch;
 use fews_net::{
-    Client, ClientError, ClientOptions, ErrorCode, ReadMode, Request, Response, WireNodeInfo,
-    WireOverload, WireShardStats, WireStats, WireView,
+    Client, ClientError, ClientOptions, ErrorCode, ReadMode, Request, Response, ScopedQuery,
+    WireNodeInfo, WireOverload, WireShardStats, WireStats,
 };
 use fews_stream::Update;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -161,31 +172,15 @@ impl Default for RouterOptions {
 /// `(code, message)` of an error frame the router is about to send.
 type Fail = (ErrorCode, String);
 
-/// A node's cached, already-decoded share of the merged view, exact as of
-/// the node's epoch watermark.
-enum Contribution {
-    /// Nothing pulled yet (fresh node, or ownership changed under it).
-    None,
-    /// Insertion-only: the node's owned partitions' decoded states.
-    InsertOnly(Vec<(u32, Arc<MemoryState>)>),
-    /// Insertion-deletion: the node's pooled witnesses (owned vertices only).
-    InsertDelete(Vec<(u32, Vec<u64>)>),
-}
-
 /// One cluster member as the router sees it.
 struct Node {
     addr: String,
     /// `None` = down. Every recovery goes through [`Inner::rejoin`].
     client: Option<Client>,
-    /// The node's publish epoch at the last view pull; passed back as
-    /// `since` so a quiesced node answers `unchanged` without shipping
-    /// state.
-    watermark: u64,
-    /// The node's highest acked *ingest* watermark — what a view pull
-    /// passes as `min_watermark`, so the worker's refresher must cover
-    /// everything the router routed to it before the pull answers.
+    /// The node's highest acked *ingest* watermark — what a fresh read asks
+    /// it to cover, so the worker's refresher must publish everything the
+    /// router routed to it before the read answers.
     acked: u64,
-    contribution: Contribution,
     /// Updates routed to this node (the router-side `processed` counter).
     routed: u64,
     /// Batches routed to this node.
@@ -197,9 +192,7 @@ impl Node {
         Node {
             addr,
             client,
-            watermark: 0,
             acked: 0,
-            contribution: Contribution::None,
             routed: 0,
             batches: 0,
         }
@@ -241,10 +234,6 @@ struct Inner {
     /// checkpoint so a restarted router knows how many assignments its
     /// lifetime has seen.
     assign_epoch: u64,
-    /// The merged global view; exact iff `!dirty`.
-    merged: Option<Arc<GlobalView>>,
-    /// Set by ingest/restore/join; cleared when `merged` is rebuilt.
-    dirty: bool,
     durable: Option<Durable>,
     started: Instant,
     /// Ingest batches the router itself shed with [`ErrorCode::Overloaded`]
@@ -252,19 +241,34 @@ struct Inner {
     shed_ingest: u64,
 }
 
-/// The identity card every worker must match: the checkpoint header of the
-/// router's own config. Equal cards ⇒ interchangeable partition state.
-fn expected_info(cfg: &EngineConfig) -> WireNodeInfo {
-    let h = Header::for_config(cfg);
-    WireNodeInfo {
-        model: h.model,
-        seed: h.seed,
-        partitions: h.partitions,
-        n: h.n,
-        m: h.m,
-        d: h.d,
-        alpha: h.alpha,
-        ingested: 0,
+/// What a read needs to reach the workers without taking [`Inner`], which
+/// republishes it under its lock before every ack that follows a change.
+struct ReadPlan {
+    /// `reader[p]`: partition `p`'s designated reader (its first live
+    /// owner), or `None` when every owner is down.
+    reader: Vec<Option<usize>>,
+    /// Node addresses, by node index.
+    addrs: Vec<String>,
+    /// Each node's acked ingest watermark — what a fresh read asks it to
+    /// cover.
+    acked: Vec<u64>,
+    /// The router's acked ingest count, the highest watermark it issued.
+    ingested: u64,
+}
+
+impl ReadPlan {
+    /// The `needed` partitions (ascending) grouped by designated reader, or
+    /// `None` if one of them has no live owner.
+    fn groups(&self, needed: &[usize]) -> Option<Vec<(usize, Vec<u32>)>> {
+        let mut groups: Vec<(usize, Vec<u32>)> = Vec::new();
+        for &p in needed {
+            let i = self.reader[p]?;
+            match groups.iter_mut().find(|(j, _)| *j == i) {
+                Some((_, parts)) => parts.push(p as u32),
+                None => groups.push((i, vec![p as u32])),
+            }
+        }
+        Some(groups)
     }
 }
 
@@ -281,8 +285,8 @@ fn owner_map(partitions: usize, nodes: usize, replicas: usize) -> Vec<Vec<usize>
 
 /// The client options for node `i`: the shared options with a per-node
 /// jitter stream, so every worker connection de-correlates its backoff.
-fn client_opts_for(opts: &RouterOptions, i: usize) -> ClientOptions {
-    let mut o = opts.client.clone();
+fn client_opts_for(client: &ClientOptions, i: usize) -> ClientOptions {
+    let mut o = client.clone();
     o.jitter_seed = o.jitter_seed.map(|s| derive_seed(s, i as u64));
     o
 }
@@ -326,10 +330,12 @@ fn admit(
 ) -> Result<(Client, WireNodeInfo), String> {
     let mut client =
         Client::connect_with(addr, opts).map_err(|e| format!("worker {addr}: connect: {e}"))?;
+    // Its only reads are `stats`, which must not wait on the refresher.
+    client.set_stale(true);
     let info = client
         .node_hello()
         .map_err(|e| format!("worker {addr}: hello: {e}"))?;
-    let want = expected_info(cfg);
+    let want = WireNodeInfo::for_config(cfg, 0);
     let got = WireNodeInfo {
         ingested: 0,
         ..info
@@ -359,49 +365,6 @@ fn node_fail(addr: &str, e: &ClientError) -> Fail {
         ),
         ClientError::Server { code, message, .. } => (*code, format!("worker {addr}: {message}")),
     }
-}
-
-/// Same validation the single-node server applies before any update reaches
-/// an engine, so a cluster rejects exactly what one node rejects.
-fn validate_batch(cfg: &EngineConfig, updates: &[Update]) -> Result<(), Fail> {
-    match cfg.model {
-        ModelSpec::InsertOnly(c) => {
-            for u in updates {
-                if u.delta < 0 {
-                    return Err((
-                        ErrorCode::ModelMismatch,
-                        format!(
-                            "deletion of ({}, {}) into an insertion-only model",
-                            u.edge.a, u.edge.b
-                        ),
-                    ));
-                }
-                if u.edge.a >= c.n {
-                    return Err((
-                        ErrorCode::BadUpdate,
-                        format!("vertex {} out of range n={}", u.edge.a, c.n),
-                    ));
-                }
-            }
-        }
-        ModelSpec::InsertDelete(c) => {
-            for u in updates {
-                if u.edge.a >= c.n {
-                    return Err((
-                        ErrorCode::BadUpdate,
-                        format!("vertex {} out of range n={}", u.edge.a, c.n),
-                    ));
-                }
-                if u.edge.b >= c.m {
-                    return Err((
-                        ErrorCode::BadUpdate,
-                        format!("witness {} out of range m={}", u.edge.b, c.m),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 impl Inner {
@@ -446,13 +409,10 @@ impl Inner {
         }
         match res {
             Ok(()) => {
+                // The replay acks carried the worker's current watermark;
+                // fresh reads must cover everything just replayed.
                 let node = &mut self.nodes[i];
-                node.watermark = 0;
-                // The replay acks carried the worker's current watermarks;
-                // future view pulls must cover everything just replayed.
                 node.acked = node.client.as_ref().map_or(0, Client::watermark);
-                node.contribution = Contribution::None;
-                self.dirty = true;
                 Ok(())
             }
             Err(e) => {
@@ -469,10 +429,50 @@ impl Inner {
     /// also erases any half-applied batch a send failure left behind).
     fn rejoin(&mut self, i: usize) -> Result<(), Fail> {
         let addr = self.nodes[i].addr.clone();
-        let (client, _) = admit(&addr, &self.cfg, &client_opts_for(&self.opts, i))
+        let (client, _) = admit(&addr, &self.cfg, &client_opts_for(&self.opts.client, i))
             .map_err(|m| (ErrorCode::NodeUnavailable, m))?;
         self.nodes[i].client = Some(client);
         self.push_slice(i)
+    }
+
+    /// Partition `p`'s designated reader: its first live owner.
+    fn reader(&self, p: usize) -> Option<usize> {
+        self.owners[p]
+            .iter()
+            .copied()
+            .find(|&i| self.nodes[i].client.is_some())
+    }
+
+    /// The read plan for the current membership and watermarks.
+    fn plan(&self) -> ReadPlan {
+        ReadPlan {
+            reader: (0..self.cfg.partitions).map(|p| self.reader(p)).collect(),
+            addrs: self.nodes.iter().map(|n| n.addr.clone()).collect(),
+            acked: self.nodes.iter().map(|n| n.acked).collect(),
+            ingested: self.ingested,
+        }
+    }
+
+    /// A read's failover: mark `down` down — unless the designated readers
+    /// changed since the read planned with `planned`, in which case the
+    /// read simply retries on the new plan — then give every `needed`
+    /// partition a live owner, rejoining one where none is left (the R = 1
+    /// case; its failure is the read's typed error).
+    fn fail_over(
+        &mut self,
+        down: Option<usize>,
+        planned: &[Option<usize>],
+        needed: &[usize],
+    ) -> Result<(), Fail> {
+        if let Some(i) = down {
+            if (0..self.cfg.partitions).all(|p| self.reader(p) == planned[p]) {
+                self.nodes[i].client = None;
+            }
+        }
+        for &p in needed {
+            self.ensure_owner_up(p)?;
+        }
+        Ok(())
     }
 
     /// A live owner for partition `p`: the first live node in `owners[p]`,
@@ -480,10 +480,7 @@ impl Inner {
     /// in order. The query path's last resort; at R ≥ 2 a single loss never
     /// reaches the rejoin branch.
     fn ensure_owner_up(&mut self, p: usize) -> Result<usize, Fail> {
-        if let Some(&i) = self.owners[p]
-            .iter()
-            .find(|&&i| self.nodes[i].client.is_some())
-        {
+        if let Some(i) = self.reader(p) {
             return Ok(i);
         }
         let owners = self.owners[p].clone();
@@ -557,7 +554,6 @@ impl Inner {
                 per_node[i].push(*u);
             }
         }
-        self.dirty = true;
         if self.opts.pipeline {
             // Phase 1: write every live owner's frame; phase 2: collect the
             // acks in the same order. The owners apply concurrently, so the
@@ -625,7 +621,7 @@ impl Inner {
         }
         // The router's ack watermark is its lifetime ingest count: queries
         // carrying it back are satisfiable because every routed update is
-        // either on a live owner (whose pull waits for its own acked
+        // either on a live owner (whose read waits for its own acked
         // watermark) or retained in a log a rejoin replays.
         Response::Ingested {
             count,
@@ -667,10 +663,7 @@ impl Inner {
             if self.logs[p].is_empty() {
                 continue;
             }
-            if let Some(&i) = self.owners[p]
-                .iter()
-                .find(|&&i| self.nodes[i].client.is_some())
-            {
+            if let Some(i) = self.reader(p) {
                 per_node[i].push(p as u32);
             }
         }
@@ -782,179 +775,6 @@ impl Inner {
         d.wal.reset()
     }
 
-    /// Refresh node `i`'s cached view contribution with one epoch-gated
-    /// pull. Requires the node live; any failure (transport, protocol, or a
-    /// malformed contribution) marks it down and returns typed.
-    fn pull_view(&mut self, i: usize) -> Result<(), Fail> {
-        let io_model = matches!(self.cfg.model, ModelSpec::InsertOnly(_));
-        let addr = self.nodes[i].addr.clone();
-        let watermark = self.nodes[i].watermark;
-        let acked = self.nodes[i].acked;
-        let pulled = self.nodes[i]
-            .client
-            .as_mut()
-            .expect("live node")
-            .view_pull(watermark, acked);
-        let view = match pulled {
-            Ok(v) => v,
-            Err(e) => {
-                self.nodes[i].client = None;
-                return Err(node_fail(&addr, &e));
-            }
-        };
-        match view {
-            WireView::Unchanged { .. } => {
-                if matches!(self.nodes[i].contribution, Contribution::None) {
-                    // A fresh or re-assigned node cannot be "unchanged":
-                    // its watermark was 0 and publish epochs start at 1.
-                    self.nodes[i].client = None;
-                    return Err((
-                        ErrorCode::Malformed,
-                        format!("worker {addr} answered 'unchanged' to a cold view pull"),
-                    ));
-                }
-            }
-            WireView::InsertOnly { epoch, parts } => {
-                if !io_model {
-                    self.nodes[i].client = None;
-                    return Err((
-                        ErrorCode::Malformed,
-                        format!(
-                            "worker {addr} shipped an insertion-only view for an \
-                                 insertion-deletion cluster"
-                        ),
-                    ));
-                }
-                let mut decoded = Vec::with_capacity(parts.len());
-                for (p, bytes) in parts {
-                    if p as usize >= self.cfg.partitions {
-                        self.nodes[i].client = None;
-                        return Err((
-                            ErrorCode::Malformed,
-                            format!(
-                                "worker {addr} shipped out-of-range partition {p} (of {})",
-                                self.cfg.partitions
-                            ),
-                        ));
-                    }
-                    let Some(state) = MemoryState::decode(&bytes) else {
-                        self.nodes[i].client = None;
-                        return Err((
-                            ErrorCode::Malformed,
-                            format!("worker {addr}: partition {p} state failed to decode"),
-                        ));
-                    };
-                    decoded.push((p, Arc::new(state)));
-                }
-                self.nodes[i].contribution = Contribution::InsertOnly(decoded);
-                self.nodes[i].watermark = epoch;
-            }
-            WireView::InsertDelete { epoch, pooled } => {
-                if io_model {
-                    self.nodes[i].client = None;
-                    return Err((
-                        ErrorCode::Malformed,
-                        format!(
-                            "worker {addr} shipped an insertion-deletion view for an \
-                                 insertion-only cluster"
-                        ),
-                    ));
-                }
-                self.nodes[i].contribution = Contribution::InsertDelete(pooled);
-                self.nodes[i].watermark = epoch;
-            }
-        }
-        Ok(())
-    }
-
-    /// The merged global view. Quiesced fast path first; otherwise one
-    /// epoch-gated pull per *live* node (a pull failure only marks the node
-    /// down — its partitions fail over to surviving replicas), then a
-    /// designated-reader merge: each partition's contribution comes from
-    /// its first live owner, deduping whatever the other replicas shipped.
-    fn view(&mut self) -> Result<Arc<GlobalView>, Fail> {
-        if !self.dirty {
-            if let Some(v) = &self.merged {
-                return Ok(Arc::clone(v));
-            }
-        }
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].client.is_some() {
-                let _ = self.pull_view(i);
-            }
-        }
-        let mut reader: Vec<usize> = Vec::with_capacity(self.cfg.partitions);
-        for p in 0..self.cfg.partitions {
-            let live = self.owners[p]
-                .iter()
-                .copied()
-                .find(|&i| self.nodes[i].client.is_some());
-            let i = match live {
-                Some(i) => i,
-                None => {
-                    // Every owner is down: the R=1 corner. One bounded
-                    // rejoin chain, then a fresh pull — or a typed error.
-                    let i = self.ensure_owner_up(p)?;
-                    self.pull_view(i)?;
-                    i
-                }
-            };
-            reader.push(i);
-        }
-        let d2 = self.cfg.witness_target();
-        let merged = if matches!(self.cfg.model, ModelSpec::InsertOnly(_)) {
-            // Dense reassembly: every partition exactly once, ascending —
-            // the same shape `Engine::refresh` builds, so certified output
-            // is bit-exact against a single node no matter which replica
-            // served each partition.
-            let mut dense: Vec<Arc<MemoryState>> = Vec::with_capacity(self.cfg.partitions);
-            for p in 0..self.cfg.partitions {
-                let i = reader[p];
-                let Contribution::InsertOnly(list) = &self.nodes[i].contribution else {
-                    return Err((
-                        ErrorCode::Malformed,
-                        format!(
-                            "worker {} has no view contribution for partition {p}",
-                            self.nodes[i].addr
-                        ),
-                    ));
-                };
-                let Some((_, state)) = list.iter().find(|(q, _)| *q as usize == p) else {
-                    return Err((
-                        ErrorCode::Malformed,
-                        format!(
-                            "worker {} did not ship partition {p} in its view",
-                            self.nodes[i].addr
-                        ),
-                    ));
-                };
-                dense.push(Arc::clone(state));
-            }
-            GlobalView::InsertOnly { parts: dense, d2 }
-        } else {
-            // Replicas pool overlapping vertex sets; keep each vertex only
-            // from its partition's designated reader, then one sort
-            // restores the canonical vertex order.
-            let mut pooled: Vec<(u32, Vec<u64>)> = Vec::new();
-            for (i, node) in self.nodes.iter().enumerate() {
-                if let Contribution::InsertDelete(list) = &node.contribution {
-                    for (v, ws) in list {
-                        let p = partition_of(*v, self.cfg.partitions);
-                        if reader[p] == i {
-                            pooled.push((*v, ws.clone()));
-                        }
-                    }
-                }
-            }
-            pooled.sort_unstable_by_key(|(v, _)| *v);
-            GlobalView::InsertDelete { pooled, d2 }
-        };
-        let merged = Arc::new(merged);
-        self.merged = Some(Arc::clone(&merged));
-        self.dirty = false;
-        Ok(merged)
-    }
-
     /// A full cluster checkpoint: drain every log into fresh payloads, then
     /// assemble the dense container — byte-identical to what one node
     /// holding the whole stream would produce, wrapped for the default
@@ -1018,8 +838,6 @@ impl Inner {
         for log in &mut self.logs {
             log.clear();
         }
-        self.dirty = true;
-        self.merged = None;
         // An acked restore must survive a router crash, same as acked
         // ingest: persist before pushing to any worker.
         if let Err(e) = self.compact_durable() {
@@ -1056,7 +874,7 @@ impl Inner {
         let (client, _) = admit(
             addr,
             &self.cfg,
-            &client_opts_for(&self.opts, self.nodes.len()),
+            &client_opts_for(&self.opts.client, self.nodes.len()),
         )
         .map_err(|m| (ErrorCode::NodeUnavailable, m))?;
         self.nodes.push(Node::fresh(addr.to_string(), Some(client)));
@@ -1066,14 +884,6 @@ impl Inner {
         if let Some(d) = &self.durable {
             let _ = write_meta(&d.meta, self.assign_epoch, self.ingested);
         }
-        // Ownership changed under every node: no cached contribution may
-        // outlive the map that scoped it.
-        for node in &mut self.nodes {
-            node.watermark = 0;
-            node.contribution = Contribution::None;
-        }
-        self.dirty = true;
-        self.merged = None;
         for i in 0..n {
             if self.nodes[i].client.is_none() {
                 let _ = self.rejoin(i);
@@ -1084,45 +894,11 @@ impl Inner {
         Ok(())
     }
 
-    /// Gate a front-end query's [`ReadMode`] against the router's acked
-    /// watermark. The router's merge is always fully fresh (every pull
-    /// waits for the node's own acked watermark, and partitions with no
-    /// live owner rejoin-and-replay), so any watermark the router has
-    /// acked is covered by construction — only a watermark it never issued
-    /// is refused, typed, instead of answered early.
-    fn check_watermark(&self, mode: &ReadMode) -> Result<(), Fail> {
-        match mode {
-            ReadMode::Stale => Ok(()),
-            ReadMode::AtLeast(w) if *w <= self.ingested => Ok(()),
-            ReadMode::AtLeast(w) => Err((
-                ErrorCode::WatermarkTimeout,
-                format!(
-                    "router has acked watermark {}, request wants {w}",
-                    self.ingested
-                ),
-            )),
-        }
-    }
-
-    /// The view a front-end query answers from. `Stale` serves the cached
-    /// merge without touching any worker when one exists (bounded
-    /// staleness: it may trail routed ingest); otherwise — and always for
-    /// `AtLeast` — the fully-fresh merged view.
-    fn read_view(&mut self, mode: &ReadMode) -> Result<Arc<GlobalView>, Fail> {
-        self.check_watermark(mode)?;
-        if matches!(mode, ReadMode::Stale) {
-            if let Some(v) = &self.merged {
-                return Ok(Arc::clone(v));
-            }
-        }
-        self.view()
-    }
-
     /// Cluster statistics: the router's own ingest counter, one shard row
     /// per node (owned partitions, updates routed, measured worker state).
     /// Down nodes report zero measured bytes instead of failing the call —
     /// statistics must not stall behind a recovery.
-    fn stats(&mut self) -> Result<WireStats, Fail> {
+    fn stats(&mut self, shed_reads: u64) -> Result<WireStats, Fail> {
         let mut shards = Vec::with_capacity(self.nodes.len());
         let mut space_bytes = 0u64;
         for i in 0..self.nodes.len() {
@@ -1157,7 +933,7 @@ impl Inner {
             quota_bytes: 0,
             overload: WireOverload {
                 shed_ingest: self.shed_ingest,
-                shed_reads: 0,
+                shed_reads,
                 shed_conns: 0,
                 inflight_updates: retained,
                 inflight_bytes: retained * std::mem::size_of::<Update>() as u64,
@@ -1170,8 +946,7 @@ impl Inner {
 
     /// One heartbeat tick: ping live nodes (a miss marks them down), try to
     /// rejoin down nodes — the background repair that restores full
-    /// replication after a loss. A node going down does not invalidate the
-    /// merged view — losing a replica changes availability, not data.
+    /// replication after a loss.
     fn heartbeat(&mut self) {
         for i in 0..self.nodes.len() {
             if let Some(client) = self.nodes[i].client.as_mut() {
@@ -1187,7 +962,31 @@ impl Inner {
 
 struct RouterShared {
     inner: Mutex<Inner>,
+    /// The published [`ReadPlan`]. The mutex guards a pointer clone/swap
+    /// only, like the server's published snapshot.
+    plan: Mutex<Arc<ReadPlan>>,
+    /// Worker-facing connection options; query connections derive theirs
+    /// per node with [`client_opts_for`].
+    client: ClientOptions,
+    /// Reads a worker shed with [`ErrorCode::Overloaded`] (passed through).
+    shed_reads: AtomicU64,
     shutdown: AtomicBool,
+}
+
+impl RouterShared {
+    /// Run `f` on the router state, then republish the read plan before the
+    /// lock drops — so whatever response follows `f`, an ingest ack above
+    /// all, is covered by the plan every later read starts from.
+    fn with_inner<T>(&self, f: impl FnOnce(&mut Inner) -> T) -> T {
+        let mut inner = self.inner.lock().expect("router state");
+        let out = f(&mut inner);
+        *self.plan.lock().expect("read plan") = Arc::new(inner.plan());
+        out
+    }
+
+    fn plan(&self) -> Arc<ReadPlan> {
+        Arc::clone(&self.plan.lock().expect("read plan"))
+    }
 }
 
 /// A running cluster coordinator. Dropping it (or [`Router::join`] after a
@@ -1315,7 +1114,7 @@ impl Router {
 
         let mut nodes = Vec::with_capacity(workers.len());
         for (i, w) in workers.iter().enumerate() {
-            let client_opts = client_opts_for(&opts, i);
+            let client_opts = client_opts_for(&opts.client, i);
             match admit(w, &cfg, &client_opts) {
                 Ok((client, info)) => {
                     if !recovered && info.ingested != 0 {
@@ -1345,8 +1144,6 @@ impl Router {
             since_refresh: 0,
             ingested,
             assign_epoch,
-            merged: None,
-            dirty: true,
             durable,
             started: Instant::now(),
             shed_ingest: 0,
@@ -1379,7 +1176,10 @@ impl Router {
             }
         }
         let shared = Arc::new(RouterShared {
+            plan: Mutex::new(Arc::new(inner.plan())),
+            client: inner.opts.client.clone(),
             inner: Mutex::new(inner),
+            shed_reads: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
         let acceptor = {
@@ -1464,7 +1264,7 @@ fn run_heartbeat(shared: Arc<RouterShared>, period: Duration) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        shared.inner.lock().expect("router state").heartbeat();
+        shared.with_inner(Inner::heartbeat);
     }
 }
 
@@ -1550,6 +1350,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
     const BUF_RETAIN: usize = 1 << 20;
     let mut payload: Vec<u8> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
+    let mut conns = QueryConns::default();
     loop {
         if payload.capacity() > BUF_RETAIN {
             payload.shrink_to(BUF_RETAIN);
@@ -1593,7 +1394,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
                 continue;
             }
         };
-        let response = handle_request(space, request, &shared);
+        let response = handle_request(space, request, &shared, &mut conns);
         let bye = matches!(response, Response::Bye);
         if bye {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -1623,21 +1424,211 @@ fn fail_response((code, message): Fail) -> Response {
     Response::error(code, message)
 }
 
-fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Response {
+/// Gate a front-end query's [`ReadMode`] against the router's acked
+/// watermark `ingested`. Every fresh read asks each reader to cover what
+/// the router acked to it, so any watermark the router issued is covered
+/// by construction — only one it never issued is refused, typed, instead
+/// of answered early.
+fn check_watermark(ingested: u64, mode: &ReadMode) -> Result<(), Fail> {
+    match mode {
+        ReadMode::AtLeast(w) if *w > ingested => Err((
+            ErrorCode::WatermarkTimeout,
+            format!("router has acked watermark {ingested}, request wants {w}"),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// One front-end connection's query connections, one per worker, dialled
+/// on first use with [`client_opts_for`] — so a fault plan in the worker
+/// options covers reads too.
+#[derive(Default)]
+struct QueryConns(Vec<Option<Client>>);
+
+impl QueryConns {
+    fn send(
+        &mut self,
+        opts: &ClientOptions,
+        addr: &str,
+        i: usize,
+        req: &Request,
+    ) -> Result<(), ClientError> {
+        if self.0.len() <= i {
+            self.0.resize_with(i + 1, || None);
+        }
+        let conn = match &mut self.0[i] {
+            Some(conn) => conn,
+            slot @ None => slot.insert(Client::connect_with(addr, &client_opts_for(opts, i))?),
+        };
+        let sent = conn.send(req);
+        if sent.is_err() {
+            self.0[i] = None;
+        }
+        sent
+    }
+
+    fn recv(&mut self, i: usize) -> Result<Response, ClientError> {
+        let got = self.0[i].as_mut().expect("request sent").recv();
+        if matches!(got, Err(ClientError::Io(_) | ClientError::Protocol(_))) {
+            self.0[i] = None; // out of sync: the next request redials
+        }
+        got
+    }
+}
+
+/// Why a pushed-down read failed.
+enum ReadFail {
+    /// Node `i` could not answer: transport or protocol trouble that
+    /// outlived a reconnect, or a worker that no longer holds its slice.
+    Node(usize, Fail),
+    /// A worker's typed refusal (shed, watermark timeout, ...), passed
+    /// through.
+    Typed(Fail),
+}
+
+/// Push `query` down to every `(node, partitions)` group of `plan` and
+/// merge the answers. Pipelined on the calling thread: every frame out,
+/// then every answer in — one round-trip for all readers. A transport
+/// failure gets one fresh connection before it counts as the node's.
+fn pushdown(
+    shared: &RouterShared,
+    conns: &mut QueryConns,
+    plan: &ReadPlan,
+    groups: &[(usize, Vec<u32>)],
+    query: ScopedQuery,
+    mode: ReadMode,
+) -> Result<Response, ReadFail> {
+    let requests: Vec<Request> = groups
+        .iter()
+        .map(|(i, parts)| Request::ScopedQuery {
+            parts: parts.clone(),
+            query,
+            mode: match mode {
+                ReadMode::Stale => ReadMode::Stale,
+                ReadMode::AtLeast(_) => ReadMode::AtLeast(plan.acked[*i]),
+            },
+        })
+        .collect();
+    let sent: Vec<_> = groups
+        .iter()
+        .zip(&requests)
+        .map(|((i, _), req)| conns.send(&shared.client, &plan.addrs[*i], *i, req))
+        .collect();
+    // Every sent frame's answer is read before any failure is acted on,
+    // so no connection is left holding an unread response.
+    let got: Vec<_> = groups
+        .iter()
+        .zip(sent)
+        .map(|((i, _), sent)| sent.and_then(|()| conns.recv(*i)))
+        .collect();
+    let (mut lists, mut answer) = (Vec::with_capacity(groups.len()), None);
+    for (((i, _), req), got) in groups.iter().zip(&requests).zip(got) {
+        let (i, addr) = (*i, plan.addrs[*i].as_str());
+        let got = match got {
+            Err(ClientError::Io(_) | ClientError::Protocol(_)) => conns
+                .send(&shared.client, addr, i, req)
+                .and_then(|()| conns.recv(i)),
+            other => other,
+        };
+        match (query, got) {
+            (ScopedQuery::Certify(_), Ok(Response::Answer(nb))) => answer = nb,
+            (ScopedQuery::Certified | ScopedQuery::Top(_), Ok(Response::Hits(hits))) => {
+                lists.push(hits)
+            }
+            (_, Ok(other)) => {
+                let e = unexpected("scoped-query", &other);
+                return Err(ReadFail::Node(i, node_fail(addr, &e)));
+            }
+            (_, Err(e)) => {
+                let fail = node_fail(addr, &e);
+                if fail.0 == ErrorCode::Overloaded {
+                    shared.shed_reads.fetch_add(1, Ordering::Relaxed);
+                }
+                // Transport or protocol trouble fails the node, and so does
+                // a worker refusing partitions it does not hold (restarted
+                // empty, not yet handed its slice back); any other refusal
+                // is the reader's typed answer.
+                return Err(match e {
+                    ClientError::Server { .. } if fail.0 != ErrorCode::NodeUnavailable => {
+                        ReadFail::Typed(fail)
+                    }
+                    _ => ReadFail::Node(i, fail),
+                });
+            }
+        }
+    }
+    Ok(match query {
+        ScopedQuery::Certified => {
+            Response::Answer(GlobalView::merge_certified(lists.into_iter().flatten()))
+        }
+        ScopedQuery::Certify(_) => Response::Answer(answer),
+        ScopedQuery::Top(k) => Response::Top(GlobalView::merge_top(
+            lists,
+            k.min(u32::MAX as u64) as usize,
+        )),
+    })
+}
+
+/// A `certified` / `certify v` / `top k` over the whole cluster: pushed
+/// down to the designated readers of the partitions it needs. Only a
+/// failure takes [`Inner`] — to fail the node over (or rejoin a partition's
+/// last owner) and republish the plan; the read then retries once.
+fn read(
+    shared: &RouterShared,
+    conns: &mut QueryConns,
+    query: ScopedQuery,
+    mode: ReadMode,
+) -> Response {
+    let mut plan = shared.plan();
+    let needed: Vec<usize> = match query {
+        ScopedQuery::Certify(v) => vec![partition_of(v, plan.reader.len())],
+        _ => (0..plan.reader.len()).collect(),
+    };
+    for attempt in 0..2 {
+        if let Err(fail) = check_watermark(plan.ingested, &mode) {
+            return fail_response(fail);
+        }
+        let down = match plan.groups(&needed) {
+            None => None, // a needed partition has no live owner
+            Some(groups) => match pushdown(shared, conns, &plan, &groups, query, mode) {
+                Ok(answer) => return answer,
+                Err(ReadFail::Node(i, _)) if attempt == 0 => Some(i),
+                Err(ReadFail::Node(_, fail) | ReadFail::Typed(fail)) => return fail_response(fail),
+            },
+        };
+        let planned = &plan.reader;
+        if let Err(fail) = shared.with_inner(|inner| inner.fail_over(down, planned, &needed)) {
+            return fail_response(fail);
+        }
+        plan = shared.plan();
+    }
+    fail_response((
+        ErrorCode::NodeUnavailable,
+        "the cluster's membership kept changing under the read".into(),
+    ))
+}
+
+fn handle_request(
+    space: SpaceId,
+    request: Request,
+    shared: &RouterShared,
+    conns: &mut QueryConns,
+) -> Response {
     // Requests that need no space routing, or that a router categorically
     // does not serve, are answered before the space check.
     match &request {
         Request::Ping => return Response::Pong,
         Request::Shutdown => {
-            let mut inner = shared.inner.lock().expect("router state");
-            if inner.opts.forward_shutdown {
-                for node in &mut inner.nodes {
-                    if let Some(client) = node.client.as_mut() {
-                        let _ = client.shutdown();
+            shared.with_inner(|inner| {
+                if inner.opts.forward_shutdown {
+                    for node in &mut inner.nodes {
+                        if let Some(client) = node.client.as_mut() {
+                            let _ = client.shutdown();
+                        }
+                        node.client = None;
                     }
-                    node.client = None;
                 }
-            }
+            });
             return Response::Bye;
         }
         Request::CreateSpace(_) | Request::DropSpace | Request::ListSpaces => {
@@ -1649,7 +1640,8 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
         Request::SliceAssign(_)
         | Request::ViewPull { .. }
         | Request::SliceCheckpoint(_)
-        | Request::SliceRestore(_) => {
+        | Request::SliceRestore(_)
+        | Request::ScopedQuery { .. } => {
             return Response::error(
                 ErrorCode::Malformed,
                 "worker-facing request sent to a cluster router".into(),
@@ -1663,25 +1655,21 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
             format!("a cluster router serves the default space only (got '{space}')"),
         );
     }
-    let mut inner = shared.inner.lock().expect("router state");
     match request {
+        Request::Certified(mode) => return read(shared, conns, ScopedQuery::Certified, mode),
+        Request::Certify(v, mode) => return read(shared, conns, ScopedQuery::Certify(v), mode),
+        Request::Top(k, mode) => return read(shared, conns, ScopedQuery::Top(k), mode),
+        _ => {}
+    }
+    let shed_reads = shared.shed_reads.load(Ordering::Relaxed);
+    shared.with_inner(|inner| match request {
         Request::IngestBatch(updates) => inner.ingest(updates),
-        Request::Certified(mode) => match inner.read_view(&mode) {
-            Ok(view) => Response::Answer(view.certified()),
-            Err(fail) => fail_response(fail),
-        },
-        Request::Certify(v, mode) => match inner.read_view(&mode) {
-            Ok(view) => Response::Answer(view.certify(v)),
-            Err(fail) => fail_response(fail),
-        },
-        Request::Top(k, mode) => match inner.read_view(&mode) {
-            Ok(view) => Response::Top(view.top(k.min(u32::MAX as u64) as usize)),
-            Err(fail) => fail_response(fail),
-        },
-        Request::Stats(mode) => match inner.check_watermark(&mode).and_then(|()| inner.stats()) {
-            Ok(stats) => Response::Stats(stats),
-            Err(fail) => fail_response(fail),
-        },
+        Request::Stats(mode) => {
+            match check_watermark(inner.ingested, &mode).and_then(|()| inner.stats(shed_reads)) {
+                Ok(stats) => Response::Stats(stats),
+                Err(fail) => fail_response(fail),
+            }
+        }
         Request::Checkpoint => match inner.checkpoint() {
             Ok(bytes) => {
                 if !body_fits(bytes.len()) {
@@ -1706,33 +1694,21 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
             Err(fail) => fail_response(fail),
         },
         Request::NodeHello => {
-            let info = WireNodeInfo {
-                ingested: inner.ingested,
-                ..expected_info(&inner.cfg)
-            };
-            Response::NodeInfo(info)
+            Response::NodeInfo(WireNodeInfo::for_config(&inner.cfg, inner.ingested))
         }
-        // Answered before the space check; unreachable here.
-        Request::CreateSpace(_)
-        | Request::DropSpace
-        | Request::ListSpaces
-        | Request::Shutdown
-        | Request::Ping
-        | Request::SliceAssign(_)
-        | Request::ViewPull { .. }
-        | Request::SliceCheckpoint(_)
-        | Request::SliceRestore(_) => Response::error(
+        // Reads go through `read`; everything else was answered above.
+        _ => Response::error(
             ErrorCode::Malformed,
             "request handled before space routing".into(),
         ),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fews_core::insertion_only::FewwConfig;
-    use fews_net::Server;
+    use fews_net::{Server, WireView};
     use fews_stream::Edge;
 
     fn test_cfg() -> EngineConfig {
@@ -1839,8 +1815,8 @@ mod tests {
         let env = unwrap_envelope(&envelope).expect("envelope");
         assert_eq!(env.inner, reference.checkpoint());
 
-        // Quiesced cluster: repeated queries answer from the cached merge.
-        assert_eq!(client.certified().expect("cached"), view.certified());
+        // Repeated queries answer the same.
+        assert_eq!(client.certified().expect("repeat"), view.certified());
 
         let stats = client.stats().expect("stats");
         assert_eq!(stats.ingested, updates.len() as u64);
@@ -2067,11 +2043,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// What the fake worker answers when the router pulls state from it.
+    /// What the fake worker answers when the router reads state from it.
     #[derive(Clone, Copy)]
     enum FakeMode {
-        /// Views name partition 7777 (out of range for an 8-partition
-        /// cluster) and slice checkpoints do the same.
+        /// Reads get a well-framed answer of the wrong kind (a view naming
+        /// partition 7777), slice checkpoints name partition 7777 (out of
+        /// range for an 8-partition cluster).
         AlienPartition,
         /// Every state-bearing response is a garbage byte blob.
         Garbage,
@@ -2093,7 +2070,7 @@ mod tests {
                         return;
                     }
                     let Ok(mut stream) = stream else { continue };
-                    serve_fake(&mut stream, &cfg, mode);
+                    std::thread::spawn(move || serve_fake(&mut stream, &cfg, mode));
                 }
             })
             .expect("spawn fake worker");
@@ -2116,14 +2093,14 @@ mod tests {
             };
             let response = match request {
                 Request::Ping => Response::Pong,
-                Request::NodeHello => Response::NodeInfo(expected_info(cfg)),
+                Request::NodeHello => Response::NodeInfo(WireNodeInfo::for_config(cfg, 0)),
                 Request::SliceAssign(_) => Response::SpaceOk,
                 Request::SliceRestore(_) => Response::Restored,
                 Request::IngestBatch(u) => Response::Ingested {
                     count: u.len() as u64,
                     watermark: 1,
                 },
-                Request::ViewPull { .. } => match mode {
+                Request::ScopedQuery { .. } => match mode {
                     FakeMode::AlienPartition => Response::View(WireView::InsertOnly {
                         epoch: 1,
                         parts: vec![(7_777, vec![1, 2, 3])],

@@ -347,7 +347,7 @@ impl Client {
 
     /// The highest ingest-ack watermark this client has observed for its
     /// current space — what its queries wait for by default, and what a
-    /// fan-out caller passes to [`Client::view_pull`] as `min_watermark`.
+    /// fan-out caller asks its reads to cover.
     pub fn watermark(&self) -> u64 {
         self.watermarks.get(&self.space).copied().unwrap_or(0)
     }
@@ -459,16 +459,22 @@ impl Client {
         response
     }
 
-    /// Send one request (addressed to the current space) and read one
-    /// response frame.
-    pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
+    /// Split-phase request, send half: write one request (addressed to the
+    /// current space) without waiting for its response. A fan-out caller
+    /// writes to every peer, then collects each response with
+    /// [`Client::recv`]. Exactly one `recv` must follow each successful
+    /// `send` before any other request on this client.
+    pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
         self.send_buf.clear();
         request.encode_into(&self.space, &mut self.send_buf);
-        self.transact_staged()
+        self.write_staged()
     }
 
-    fn expect_staged(&mut self) -> Result<Response, ClientError> {
-        match self.transact_staged()? {
+    /// Split-phase request, receive half: read the response to a previous
+    /// [`Client::send`]; an error frame comes back as
+    /// [`ClientError::Server`].
+    pub fn recv(&mut self) -> Result<Response, ClientError> {
+        match self.read_staged()? {
             Response::Error {
                 code,
                 message,
@@ -480,6 +486,19 @@ impl Client {
             }),
             other => Ok(other),
         }
+    }
+
+    /// Send one request (addressed to the current space) and read one
+    /// response frame.
+    pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.send_buf.clear();
+        request.encode_into(&self.space, &mut self.send_buf);
+        self.transact_staged()
+    }
+
+    fn expect_staged(&mut self) -> Result<Response, ClientError> {
+        self.write_staged()?;
+        self.recv()
     }
 
     fn expect(&mut self, request: &Request) -> Result<Response, ClientError> {
@@ -572,16 +591,7 @@ impl Client {
     /// [`Client::ingest_send`]; returns the server's applied count. The
     /// ack's watermark is remembered — subsequent queries wait for it.
     pub fn ingest_ack(&mut self) -> Result<u64, ClientError> {
-        match self.read_staged()? {
-            Response::Error {
-                code,
-                message,
-                retry_after_ms,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after_ms,
-            }),
+        match self.recv()? {
             Response::Ingested { count, watermark } => {
                 let entry = self.watermarks.entry(self.space.clone()).or_insert(0);
                 *entry = (*entry).max(watermark);
@@ -716,8 +726,8 @@ impl Client {
 
     /// Pull the space's query view if it changed past epoch `since`. The
     /// server first waits for its published snapshot to cover
-    /// `min_watermark`, so a router pulling after acked ingest always
-    /// merges a view that includes everything it routed.
+    /// `min_watermark`, so a puller passing its acked watermark gets a view
+    /// that includes everything it sent.
     pub fn view_pull(&mut self, since: u64, min_watermark: u64) -> Result<WireView, ClientError> {
         match self.expect(&Request::ViewPull {
             since,
@@ -761,7 +771,8 @@ impl Client {
     }
 }
 
-fn unexpected(wanted: &str, got: &Response) -> ClientError {
+/// The protocol error for a response of the wrong kind.
+pub fn unexpected(wanted: &str, got: &Response) -> ClientError {
     let kind = match got {
         Response::Ingested { .. } => "Ingested",
         Response::Answer(_) => "Answer",
@@ -775,6 +786,7 @@ fn unexpected(wanted: &str, got: &Response) -> ClientError {
         Response::Pong => "Pong",
         Response::NodeInfo(_) => "NodeInfo",
         Response::View(_) => "View",
+        Response::Hits(_) => "Hits",
         Response::Error { .. } => "Error",
     };
     ClientError::Protocol(format!("expected {wanted} response, got {kind}"))

@@ -35,8 +35,10 @@
 //!
 //! The protocol also carries the cluster-facing requests `fews-cluster`
 //! speaks to its workers: `ping` liveness, `node-hello` admission checks,
-//! `slice-assign` / `view-pull` (epoch-watermarked view shipping), and
-//! `slice-checkpoint` / `slice-restore` (partition handoff).
+//! `slice-assign`, `scoped-query` (a query answered over a partition
+//! subset, ranked for the router's merge), `view-pull` (epoch-watermarked
+//! view shipping), and `slice-checkpoint` / `slice-restore` (partition
+//! handoff).
 //!
 //! ```
 //! use fews_core::insertion_only::FewwConfig;
@@ -66,7 +68,7 @@ pub mod server;
 pub use client::{Client, ClientError, ClientOptions};
 pub use fault::{FaultCounts, FaultPlan, FaultProfile, SendFault};
 pub use proto::{
-    ErrorCode, ReadMode, Request, Response, WireNodeInfo, WireOverload, WireShardStats,
-    WireSpaceInfo, WireStats, WireView,
+    ErrorCode, ReadMode, Request, Response, ScopedQuery, WireNodeInfo, WireOverload,
+    WireShardStats, WireSpaceInfo, WireStats, WireView,
 };
 pub use server::{OverloadLimits, Server, ServerOptions};

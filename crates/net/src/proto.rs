@@ -37,6 +37,7 @@ use fews_common::spaceid::MAX_SPACE_NAME;
 use fews_common::{SpaceConfig, SpaceId};
 use fews_core::neighbourhood::Neighbourhood;
 use fews_core::wire::{get_space_config, get_uvarint, put_space_config, put_uvarint};
+use fews_engine::ScopedHit;
 use fews_stream::{Edge, Update};
 
 /// Protocol version carried in every frame header. v1 was the single-tenant
@@ -63,6 +64,17 @@ pub enum ReadMode {
     /// answering — read-your-writes when `w` is the watermark carried by the
     /// client's last ingest ack. `AtLeast(0)` is satisfied by any snapshot.
     AtLeast(u64),
+}
+
+/// The query a [`Request::ScopedQuery`] asks over its partition scope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScopedQuery {
+    /// The scope's certified hit, ranked ([`Response::Hits`], at most one).
+    Certified,
+    /// Everything provable about one vertex ([`Response::Answer`]).
+    Certify(u32),
+    /// The scope's `k` best vertices, ranked ([`Response::Hits`]).
+    Top(u64),
 }
 
 /// A request frame, client → server. The space it addresses travels in the
@@ -102,13 +114,16 @@ pub enum Request {
     NodeHello,
     /// Assign the addressed space's *owned partition slice* (sorted, unique
     /// partition ids). A worker answers [`Request::ViewPull`] with only the
-    /// owned partitions; an unassigned worker serves all of them.
+    /// owned partitions (an unassigned worker serves all of them) and
+    /// [`Request::ScopedQuery`] for owned partitions only.
     SliceAssign(Vec<u32>),
     /// Fetch the space's query view if it changed since publish epoch
     /// `since`; answered with [`Response::View`]. A quiesced worker answers
     /// `unchanged` in O(1). The view must cover ingest watermark
     /// `min_watermark` — the puller passes the highest watermark it has seen
-    /// acked, so a router's merged view covers everything it routed.
+    /// acked, so the view covers everything it sent. (A router reads with
+    /// [`Request::ScopedQuery`]; this ships the view itself, for
+    /// diagnostics and benchmarks.)
     ViewPull {
         /// Publish epoch of the puller's cached copy (0 = nothing cached).
         since: u64,
@@ -126,6 +141,20 @@ pub enum Request {
     /// Plain servers reject it — the tag exists so `fews client` can speak
     /// to routers and workers with one codec.
     JoinWorker(String),
+    /// Answer `query` over the named partitions only (sorted, unique), from
+    /// the published snapshot `mode` selects — what a cluster router sends
+    /// each partition's designated reader, then merges the ranked answers
+    /// ([`fews_engine::GlobalView::merge_certified`] /
+    /// [`fews_engine::GlobalView::merge_top`]). A worker refuses partitions
+    /// it was not assigned with [`ErrorCode::NodeUnavailable`].
+    ScopedQuery {
+        /// The partitions to answer over.
+        parts: Vec<u32>,
+        /// What to answer.
+        query: ScopedQuery,
+        /// How fresh the answering snapshot must be.
+        mode: ReadMode,
+    },
 }
 
 impl Request {
@@ -147,12 +176,13 @@ impl Request {
     const TAG_SLICE_CHECKPOINT: u8 = 0x10;
     const TAG_SLICE_RESTORE: u8 = 0x11;
     const TAG_JOIN_WORKER: u8 = 0x12;
+    const TAG_SCOPED_QUERY: u8 = 0x13;
 
     /// Whether `tag` names a request this protocol version understands.
     /// Checked *before* the space header is parsed so that an unknown tag
     /// reports [`FrameError::UnknownTag`], not a malformed-header error.
     fn known_tag(tag: u8) -> bool {
-        (Self::TAG_INGEST..=Self::TAG_JOIN_WORKER).contains(&tag)
+        (Self::TAG_INGEST..=Self::TAG_SCOPED_QUERY).contains(&tag)
     }
 }
 
@@ -240,6 +270,24 @@ pub struct WireNodeInfo {
     pub ingested: u64,
 }
 
+impl WireNodeInfo {
+    /// The identity card of a node serving `cfg` that has accepted
+    /// `ingested` updates.
+    pub fn for_config(cfg: &fews_engine::EngineConfig, ingested: u64) -> WireNodeInfo {
+        let h = fews_engine::checkpoint::Header::for_config(cfg);
+        WireNodeInfo {
+            model: h.model,
+            seed: h.seed,
+            partitions: h.partitions,
+            n: h.n,
+            m: h.m,
+            d: h.d,
+            alpha: h.alpha,
+            ingested,
+        }
+    }
+}
+
 /// A space's query view as it travels in a [`Response::View`] frame.
 ///
 /// `epoch` is the worker's publish counter at snapshot time; a router stores
@@ -256,8 +304,8 @@ pub enum WireView {
     },
     /// Insertion-only: each owned partition's
     /// [`fews_core::wire::MemoryState::encode`] bytes, ascending partition
-    /// order — the same per-partition encoding checkpoints use, so the
-    /// router's merged view is bit-exact against a single-node engine.
+    /// order — the same per-partition encoding checkpoints use, so a
+    /// merge of pulled views is bit-exact against a single-node engine.
     InsertOnly {
         /// Publish epoch this snapshot was taken at.
         epoch: u64,
@@ -403,6 +451,9 @@ pub enum Response {
     NodeInfo(WireNodeInfo),
     /// Answer to [`Request::ViewPull`].
     View(WireView),
+    /// Answer to a [`Request::ScopedQuery`] for `certified` or `top`: the
+    /// scope's answers, best first, each with its rank in the whole view.
+    Hits(Vec<ScopedHit>),
     /// The request was rejected; the connection may still be usable (see
     /// module docs for which errors keep the stream in sync).
     Error {
@@ -452,6 +503,7 @@ impl Response {
     const TAG_PONG: u8 = 0x8A;
     const TAG_NODE_INFO: u8 = 0x8B;
     const TAG_VIEW: u8 = 0x8C;
+    const TAG_HITS: u8 = 0x8D;
     const TAG_ERROR: u8 = 0xFF;
 }
 
@@ -736,6 +788,24 @@ impl Request {
                 put_uvarint(body, addr.len() as u64);
                 body.extend_from_slice(addr.as_bytes());
             }),
+            Request::ScopedQuery { parts, query, mode } => {
+                frame_into(buf, Self::TAG_SCOPED_QUERY, |body| {
+                    put_space(body, space);
+                    put_partitions(body, parts);
+                    match query {
+                        ScopedQuery::Certified => body.push(0),
+                        ScopedQuery::Certify(v) => {
+                            body.push(1);
+                            put_uvarint(body, u64::from(*v));
+                        }
+                        ScopedQuery::Top(k) => {
+                            body.push(2);
+                            put_uvarint(body, *k);
+                        }
+                    }
+                    put_read_mode(body, mode);
+                })
+            }
         }
     }
 
@@ -832,6 +902,30 @@ impl Request {
                     .to_string();
                 pos = end;
                 Request::JoinWorker(addr)
+            }
+            Self::TAG_SCOPED_QUERY => {
+                let parts = get_partitions(body, &mut pos)?;
+                let kind = *body
+                    .get(pos)
+                    .ok_or(FrameError::Malformed("scoped query kind"))?;
+                pos += 1;
+                let query = match kind {
+                    0 => ScopedQuery::Certified,
+                    1 => ScopedQuery::Certify(
+                        get_uvarint(body, &mut pos)
+                            .and_then(|v| u32::try_from(v).ok())
+                            .ok_or(FrameError::Malformed("scoped certify vertex"))?,
+                    ),
+                    2 => ScopedQuery::Top(
+                        get_uvarint(body, &mut pos).ok_or(FrameError::Malformed("scoped top k"))?,
+                    ),
+                    _ => return Err(FrameError::Malformed("scoped query kind")),
+                };
+                Request::ScopedQuery {
+                    parts,
+                    query,
+                    mode: get_read_mode(body, &mut pos)?,
+                }
             }
             _ => unreachable!("known_tag checked above"),
         };
@@ -1057,6 +1151,13 @@ impl Response {
             Response::View(view) => frame_into(buf, Self::TAG_VIEW, |body| {
                 put_view(body, view);
             }),
+            Response::Hits(hits) => frame_into(buf, Self::TAG_HITS, |body| {
+                put_uvarint(body, hits.len() as u64);
+                for hit in hits {
+                    put_uvarint(body, hit.rank);
+                    put_neighbourhood(body, &hit.found);
+                }
+            }),
             Response::Error {
                 code,
                 message,
@@ -1175,6 +1276,22 @@ impl Response {
             ),
             Self::TAG_VIEW => {
                 Response::View(get_view(body, &mut pos).ok_or(FrameError::Malformed("view"))?)
+            }
+            Self::TAG_HITS => {
+                let count =
+                    get_uvarint(body, &mut pos).ok_or(FrameError::Malformed("hit count"))? as usize;
+                if count > body.len() {
+                    return Err(FrameError::Malformed("hit count exceeds body"));
+                }
+                let mut hits = Vec::with_capacity(bounded_capacity(count));
+                for _ in 0..count {
+                    let rank =
+                        get_uvarint(body, &mut pos).ok_or(FrameError::Malformed("hit rank"))?;
+                    let found = get_neighbourhood(body, &mut pos)
+                        .ok_or(FrameError::Malformed("hit neighbourhood"))?;
+                    hits.push(ScopedHit { rank, found });
+                }
+                Response::Hits(hits)
             }
             Self::TAG_ERROR => {
                 let code = *body.get(pos).ok_or(FrameError::Malformed("error code"))?;
@@ -1315,6 +1432,17 @@ mod tests {
         roundtrip_request(Request::SliceCheckpoint(vec![1, 2]));
         roundtrip_request(Request::SliceRestore(b"FEWWSLC1junk".to_vec()));
         roundtrip_request(Request::JoinWorker("10.0.0.7:7411".into()));
+        for (parts, query, mode) in [
+            (vec![0, 5], ScopedQuery::Certified, ReadMode::Stale),
+            (
+                vec![3],
+                ScopedQuery::Certify(u32::MAX),
+                ReadMode::AtLeast(9),
+            ),
+            (Vec::new(), ScopedQuery::Top(u64::MAX), ReadMode::AtLeast(0)),
+        ] {
+            roundtrip_request(Request::ScopedQuery { parts, query, mode });
+        }
     }
 
     #[test]
@@ -1444,6 +1572,17 @@ mod tests {
             ingested: 123_456,
         }));
         roundtrip_response(Response::View(WireView::Unchanged { epoch: 42 }));
+        roundtrip_response(Response::Hits(Vec::new()));
+        roundtrip_response(Response::Hits(vec![
+            ScopedHit {
+                rank: u64::MAX,
+                found: Neighbourhood::new(7, vec![1, 2, 3]),
+            },
+            ScopedHit {
+                rank: 3 << 32,
+                found: Neighbourhood::new(0, Vec::new()),
+            },
+        ]));
         roundtrip_response(Response::View(WireView::InsertOnly {
             epoch: 7,
             parts: vec![(0, vec![1, 2, 3]), (5, Vec::new()), (9, vec![0xFF; 40])],

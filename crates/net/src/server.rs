@@ -71,11 +71,11 @@
 //! connection are unaffected.
 
 use crate::proto::{
-    check_frame_len, ErrorCode, FrameError, ReadMode, Request, Response, WireNodeInfo,
+    check_frame_len, ErrorCode, FrameError, ReadMode, Request, Response, ScopedQuery, WireNodeInfo,
     WireShardStats, WireSpaceInfo, WireStats, WireView,
 };
 use fews_common::{SpaceConfig, SpaceId};
-use fews_engine::checkpoint::{unwrap_envelope, wrap_envelope, Header};
+use fews_engine::checkpoint::{unwrap_envelope, wrap_envelope};
 use fews_engine::wal::{wal_path, SpaceDir, Wal, WalHandle};
 use fews_engine::{partition_of, Engine, EngineConfig, EngineStats, GlobalView, ModelSpec};
 use std::collections::HashMap;
@@ -525,8 +525,9 @@ struct SpaceHandle {
     /// checkpoint — the lock-free stats mirror of its share of the log.
     wal_bytes: AtomicU64,
     /// The partition slice a cluster router assigned to this space (`None`
-    /// = unassigned, serve every partition). Bounds what
-    /// [`Request::ViewPull`] ships.
+    /// = unassigned). Bounds what [`Request::ViewPull`] ships (unassigned:
+    /// every partition) and what [`Request::ScopedQuery`] may ask about
+    /// (unassigned: nothing).
     slice: Mutex<Option<Vec<u32>>>,
     /// In-flight admission gauges and shed counters.
     load: SpaceLoad,
@@ -1379,8 +1380,10 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 }
 
 /// Validate an ingest batch against the serving model. Returns the first
-/// violation with its wire code; on `Ok` every update is safe to push.
-fn validate_batch(
+/// violation with its wire code; on `Ok` every update is safe to push. A
+/// cluster router applies this same check, so a cluster rejects exactly
+/// what one node rejects.
+pub fn validate_batch(
     cfg: &EngineConfig,
     updates: &[fews_stream::Update],
 ) -> Result<(), (ErrorCode, String)> {
@@ -1827,19 +1830,10 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
             Response::Checkpoint(envelope)
         }
         // Cluster-facing requests: what a router speaks to its workers.
-        Request::NodeHello => {
-            let h = Header::for_config(&handle.cfg);
-            Response::NodeInfo(WireNodeInfo {
-                model: h.model,
-                seed: h.seed,
-                partitions: h.partitions,
-                n: h.n,
-                m: h.m,
-                d: h.d,
-                alpha: h.alpha,
-                ingested: handle.snapshot().stats.ingested,
-            })
-        }
+        Request::NodeHello => Response::NodeInfo(WireNodeInfo::for_config(
+            &handle.cfg,
+            handle.snapshot().stats.ingested,
+        )),
         Request::SliceAssign(parts) => {
             if let Some(&p) = parts.iter().find(|&&p| p as usize >= handle.cfg.partitions) {
                 return Response::error(
@@ -1919,6 +1913,46 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                 );
             }
             Response::View(view)
+        }
+        // A router's pushed-down read: the query over the partitions this
+        // worker reads for, from the snapshot the read mode selects — with
+        // the watermark wait and lag-budget shedding a client read gets.
+        Request::ScopedQuery { parts, query, mode } => {
+            // Only partitions the router assigned here: a worker restarted
+            // empty, and not yet handed its slice back, must not answer for
+            // state it does not hold.
+            let unassigned = {
+                let slice = handle.slice.lock().expect("slice slot");
+                parts
+                    .iter()
+                    .find(|p| slice.as_ref().is_none_or(|s| s.binary_search(p).is_err()))
+                    .copied()
+            };
+            if let Some(p) = unassigned {
+                return Response::error(
+                    ErrorCode::NodeUnavailable,
+                    format!("partition {p} is not assigned to this worker"),
+                );
+            }
+            let snap = match read_snapshot(handle, &mode, &shared.limits) {
+                Ok(snap) => snap,
+                Err(resp) => return *resp,
+            };
+            // Assigned partitions were range-checked by `SliceAssign`.
+            let mut scope = vec![false; handle.cfg.partitions];
+            for &p in &parts {
+                scope[p as usize] = true;
+            }
+            match query {
+                ScopedQuery::Certified => {
+                    Response::Hits(snap.view.scoped_certified(&scope).into_iter().collect())
+                }
+                ScopedQuery::Certify(v) => Response::Answer(snap.view.scoped_certify(v, &scope)),
+                ScopedQuery::Top(k) => Response::Hits(
+                    snap.view
+                        .scoped_top(k.min(u32::MAX as u64) as usize, &scope),
+                ),
+            }
         }
         Request::SliceCheckpoint(parts) => {
             if let Some(&p) = parts.iter().find(|&&p| p as usize >= handle.cfg.partitions) {

@@ -20,7 +20,7 @@ use fews_engine::{Engine, EngineConfig};
 use fews_net::{Client, Server, ServerOptions};
 use fews_stream::update::as_insertions;
 use fews_stream::{Edge, Update};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 2021;
 const PARTITIONS: usize = 8;
@@ -109,8 +109,8 @@ fn watermarked_reads_match_reference_at_every_prefix() {
 }
 
 /// The same prefix differential through a cluster router: the ack watermark
-/// is the router's, fan-out view pulls must wait on the per-worker
-/// watermarks it implies.
+/// is the router's, and the reads it pushes down must wait on the
+/// per-worker watermarks it implies.
 #[test]
 fn watermarked_reads_match_reference_through_router() {
     let (cfg, updates) = io_workload();
@@ -132,6 +132,84 @@ fn watermarked_reads_match_reference_through_router() {
     let mut client = Client::connect(router.local_addr()).expect("connect");
     let mut reference = Engine::start(cfg.with_shards(1));
     assert_prefix_equivalence(&mut client, &mut reference, &updates, "router");
+    router.shutdown();
+    router.join();
+    for w in workers {
+        w.shutdown();
+        w.join();
+    }
+}
+
+/// Router reads keep the router's lock off their path: while a fresh `top`
+/// through the router waits on the workers' slow refreshers, an ingest on a
+/// second connection acks and a `?stale` read answers, each within 100 ms —
+/// and the fresh read still answers at least the acked prefix.
+#[test]
+fn router_reads_waiting_on_workers_block_neither_ingest_nor_stale_reads() {
+    let (cfg, updates) = io_workload();
+    let slow = ServerOptions {
+        refresh_debounce: Some(Duration::from_millis(300)),
+        ..ServerOptions::default()
+    };
+    let workers: Vec<Server> = (0..2)
+        .map(|i| {
+            Server::start_with(cfg, "127.0.0.1:0", slow.clone())
+                .unwrap_or_else(|e| panic!("worker {i}: {e}"))
+        })
+        .collect();
+    let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
+    let opts = fews_cluster::RouterOptions {
+        client: fews_net::ClientOptions::bounded(Duration::from_secs(5), 0),
+        heartbeat: None,
+        replicas: 1,
+        forward_shutdown: false,
+        ..fews_cluster::RouterOptions::default()
+    };
+    let router = fews_cluster::Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("router");
+    let (first, second) = (&updates[..CHUNK], &updates[CHUNK..2 * CHUNK]);
+    let mut writer = Client::connect(router.local_addr()).expect("connect writer");
+    let mut stale = Client::connect(router.local_addr()).expect("connect stale reader");
+    stale.set_stale(true);
+    let mut reader = Client::connect(router.local_addr()).expect("connect reader");
+    reader.ingest_batch(first).expect("ingest");
+
+    // The fresh read waits ~300 ms for the workers to publish `first`.
+    let fresh = std::thread::spawn(move || {
+        let top = reader.top(3).expect("fresh top");
+        (top, Instant::now())
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    let t = Instant::now();
+    writer.ingest_batch(second).expect("ingest beside the read");
+    let ingest = t.elapsed();
+    let t = Instant::now();
+    stale.top(3).expect("stale top beside the read");
+    let stale_read = t.elapsed();
+    let beside = Instant::now();
+    let (top, answered) = fresh.join().expect("fresh reader");
+
+    assert!(
+        answered > beside,
+        "the fresh read must still have been waiting on the workers"
+    );
+    assert!(
+        ingest < Duration::from_millis(100),
+        "ingest waited {ingest:?} behind a fresh read"
+    );
+    assert!(
+        stale_read < Duration::from_millis(100),
+        "?stale read waited {stale_read:?} behind a fresh read"
+    );
+    // The refresher may publish `second` too before the fresh read wakes.
+    let mut reference = Engine::start(cfg.with_shards(1));
+    reference.ingest(first.iter().copied());
+    let after_first = reference.view().top(3);
+    reference.ingest(second.iter().copied());
+    let after_second = reference.view().top(3);
+    assert!(
+        top == after_first || top == after_second,
+        "fresh top through the router diverged from the acked prefix"
+    );
     router.shutdown();
     router.join();
     for w in workers {

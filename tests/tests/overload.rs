@@ -368,6 +368,59 @@ fn deliver_then_cut_surfaces_by_default_and_resend_double_applies() {
     server.join();
 }
 
+/// A read a worker sheds past its lag budget passes through the router
+/// typed (Overloaded + retry hint) and is counted in the router's
+/// `shed_reads`, while `?stale` reads through the router keep answering.
+#[test]
+fn router_passes_worker_read_sheds_through_and_counts_them() {
+    let cfg = base_cfg();
+    let lagging = ServerOptions {
+        refresh_debounce: Some(Duration::from_millis(500)),
+        limits: OverloadLimits {
+            lag_budget: 1,
+            ..OverloadLimits::default()
+        },
+        ..ServerOptions::default()
+    };
+    let worker = Server::start_with(cfg, "127.0.0.1:0", lagging).expect("worker");
+    let addrs = vec![worker.local_addr().to_string()];
+    let opts = fews_cluster::RouterOptions {
+        client: ClientOptions::bounded(Duration::from_secs(2), 0),
+        heartbeat: None,
+        forward_shutdown: false,
+        replicas: 1,
+        ..fews_cluster::RouterOptions::default()
+    };
+    let router = fews_cluster::Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("router");
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+
+    // Three acked batches while the worker's snapshot stays at watermark
+    // 0: its lag (3) is past the budget (1), so the pushed-down fresh read
+    // sheds at the worker.
+    for chunk in workload(10).chunks(97).take(3) {
+        client.ingest_batch(chunk).expect("ingest");
+    }
+    let err = client
+        .certified()
+        .expect_err("lagging worker sheds the read");
+    assert!(
+        overloaded_with_hint(&err),
+        "want typed Overloaded with a retry hint, got {err:?}"
+    );
+    let mut stale = Client::connect(router.local_addr()).expect("connect stale");
+    stale.set_stale(true);
+    stale
+        .certified()
+        .expect("stale read answers through the router");
+    let shed = stale.stats().expect("router stats").overload;
+    assert_eq!(shed.shed_reads, 1, "the router counts the shed read");
+    client.shutdown().expect("shutdown");
+    router.shutdown();
+    router.join();
+    worker.shutdown();
+    worker.join();
+}
+
 /// The router maps its own retained-log growth into backpressure: with
 /// every owner of a partition down, retained updates pile up until the
 /// budget trips, and further ingest sheds with a typed Overloaded + hint
