@@ -174,9 +174,12 @@ type Fail = (ErrorCode, String);
 
 /// One cluster member as the router sees it.
 struct Node {
-    addr: String,
     /// `None` = down. Every recovery goes through [`Inner::rejoin`].
     client: Option<Client>,
+    /// Slice pushes this node has completed. A read that failed on the node
+    /// fails it over only if no push completed since the read planned —
+    /// otherwise the failure was the handoff itself, and the read retries.
+    incarnation: u64,
     /// The node's highest acked *ingest* watermark — what a fresh read asks
     /// it to cover, so the worker's refresher must publish everything the
     /// router routed to it before the read answers.
@@ -188,10 +191,10 @@ struct Node {
 }
 
 impl Node {
-    fn fresh(addr: String, client: Option<Client>) -> Node {
+    fn fresh(client: Option<Client>) -> Node {
         Node {
-            addr,
             client,
+            incarnation: 0,
             acked: 0,
             routed: 0,
             batches: 0,
@@ -212,6 +215,9 @@ struct Inner {
     cfg: EngineConfig,
     opts: RouterOptions,
     nodes: Vec<Node>,
+    /// Worker addresses by node index. Replaced, never edited, when a
+    /// worker joins, so the read plan shares it instead of copying it.
+    addrs: Arc<[String]>,
     /// `owners[p]` = the node indices hosting partition `p`, primary first.
     owners: Vec<Vec<usize>>,
     /// Per-partition slice-checkpoint payload as of the last refresh.
@@ -248,10 +254,12 @@ struct ReadPlan {
     /// owner), or `None` when every owner is down.
     reader: Vec<Option<usize>>,
     /// Node addresses, by node index.
-    addrs: Vec<String>,
+    addrs: Arc<[String]>,
     /// Each node's acked ingest watermark — what a fresh read asks it to
     /// cover.
     acked: Vec<u64>,
+    /// Each node's [`Node::incarnation`].
+    incarnation: Vec<u64>,
     /// The router's acked ingest count, the highest watermark it issued.
     ingested: u64,
 }
@@ -379,7 +387,7 @@ impl Inner {
     /// restore from the payload store, retained-log replay, assignment.
     /// Failure marks the node down with the error typed.
     fn push_slice(&mut self, i: usize) -> Result<(), Fail> {
-        let addr = self.nodes[i].addr.clone();
+        let addr = self.addrs[i].clone();
         let owned = self.owned(i);
         let slice: Vec<(u32, Vec<u8>)> = owned
             .iter()
@@ -413,6 +421,7 @@ impl Inner {
                 // fresh reads must cover everything just replayed.
                 let node = &mut self.nodes[i];
                 node.acked = node.client.as_ref().map_or(0, Client::watermark);
+                node.incarnation += 1;
                 Ok(())
             }
             Err(e) => {
@@ -428,7 +437,7 @@ impl Inner {
     /// with one that never died (restore is wholesale per partition, so it
     /// also erases any half-applied batch a send failure left behind).
     fn rejoin(&mut self, i: usize) -> Result<(), Fail> {
-        let addr = self.nodes[i].addr.clone();
+        let addr = self.addrs[i].clone();
         let (client, _) = admit(&addr, &self.cfg, &client_opts_for(&self.opts.client, i))
             .map_err(|m| (ErrorCode::NodeUnavailable, m))?;
         self.nodes[i].client = Some(client);
@@ -447,25 +456,21 @@ impl Inner {
     fn plan(&self) -> ReadPlan {
         ReadPlan {
             reader: (0..self.cfg.partitions).map(|p| self.reader(p)).collect(),
-            addrs: self.nodes.iter().map(|n| n.addr.clone()).collect(),
+            addrs: Arc::clone(&self.addrs),
             acked: self.nodes.iter().map(|n| n.acked).collect(),
+            incarnation: self.nodes.iter().map(|n| n.incarnation).collect(),
             ingested: self.ingested,
         }
     }
 
-    /// A read's failover: mark `down` down — unless the designated readers
-    /// changed since the read planned with `planned`, in which case the
-    /// read simply retries on the new plan — then give every `needed`
-    /// partition a live owner, rejoining one where none is left (the R = 1
-    /// case; its failure is the read's typed error).
-    fn fail_over(
-        &mut self,
-        down: Option<usize>,
-        planned: &[Option<usize>],
-        needed: &[usize],
-    ) -> Result<(), Fail> {
-        if let Some(i) = down {
-            if (0..self.cfg.partitions).all(|p| self.reader(p) == planned[p]) {
+    /// A read's failover: mark node `i` of `down = (i, incarnation)` down —
+    /// unless it was handed its slice again since the read planned at that
+    /// incarnation, in which case the read simply retries on the new plan —
+    /// then give every `needed` partition a live owner, rejoining one where
+    /// none is left (the R = 1 case; its failure is the read's typed error).
+    fn fail_over(&mut self, down: Option<(usize, u64)>, needed: &[usize]) -> Result<(), Fail> {
+        if let Some((i, incarnation)) = down {
+            if self.nodes[i].incarnation == incarnation {
                 self.nodes[i].client = None;
             }
         }
@@ -715,7 +720,7 @@ impl Inner {
             if parts.is_empty() {
                 continue;
             }
-            let addr = self.nodes[i].addr.clone();
+            let addr = self.addrs[i].clone();
             let bytes = match self.nodes[i]
                 .client
                 .as_mut()
@@ -862,7 +867,7 @@ impl Inner {
     /// cluster — rebalancing around a hole would have to guess the hole's
     /// state.
     fn join(&mut self, addr: &str) -> Result<(), Fail> {
-        if self.nodes.iter().any(|n| n.addr == addr) {
+        if self.addrs.iter().any(|a| a == addr) {
             return Err((
                 ErrorCode::Malformed,
                 format!("worker {addr} is already a cluster member"),
@@ -877,7 +882,13 @@ impl Inner {
             &client_opts_for(&self.opts.client, self.nodes.len()),
         )
         .map_err(|m| (ErrorCode::NodeUnavailable, m))?;
-        self.nodes.push(Node::fresh(addr.to_string(), Some(client)));
+        self.nodes.push(Node::fresh(Some(client)));
+        self.addrs = self
+            .addrs
+            .iter()
+            .cloned()
+            .chain([addr.to_string()])
+            .collect();
         let n = self.nodes.len();
         self.owners = owner_map(self.cfg.partitions, n, self.opts.replicas);
         self.assign_epoch += 1;
@@ -965,9 +976,14 @@ struct RouterShared {
     /// The published [`ReadPlan`]. The mutex guards a pointer clone/swap
     /// only, like the server's published snapshot.
     plan: Mutex<Arc<ReadPlan>>,
-    /// Worker-facing connection options; query connections derive theirs
-    /// per node with [`client_opts_for`].
+    /// Worker-facing connection options; query links derive theirs per
+    /// node with [`client_opts_for`].
     client: ClientOptions,
+    /// Idle query links, by node index, shared by every front-end
+    /// connection: a read takes one link per reader and parks it again once
+    /// answered, so the router holds about as many links to a worker as
+    /// reads run at once.
+    links: Mutex<Vec<Vec<Client>>>,
     /// Reads a worker shed with [`ErrorCode::Overloaded`] (passed through).
     shed_reads: AtomicU64,
     shutdown: AtomicBool,
@@ -986,6 +1002,51 @@ impl RouterShared {
 
     fn plan(&self) -> Arc<ReadPlan> {
         Arc::clone(&self.plan.lock().expect("read plan"))
+    }
+
+    /// Send `req` to node `i` on an idle query link, or on a new one dialled
+    /// with [`client_opts_for`] (so a fault plan in the worker options
+    /// covers reads too). `redial` skips — and drops — the idle links: one
+    /// of them just failed, so the rest likely point at the same dead
+    /// process.
+    fn send_query(
+        &self,
+        i: usize,
+        addr: &str,
+        req: &Request,
+        redial: bool,
+    ) -> Result<Client, ClientError> {
+        let idle = {
+            let mut links = self.links.lock().expect("query links");
+            match links.get_mut(i) {
+                Some(idle) if redial => {
+                    idle.clear();
+                    None
+                }
+                Some(idle) => idle.pop(),
+                None => None,
+            }
+        };
+        let mut link = match idle {
+            Some(link) => link,
+            None => Client::connect_with(addr, &client_opts_for(&self.client, i))?,
+        };
+        link.send(req)?;
+        Ok(link)
+    }
+
+    /// Read node `i`'s answer on `link`, then park the link for the next
+    /// read — unless transport or protocol trouble left it out of sync.
+    fn recv_query(&self, i: usize, mut link: Client) -> Result<Response, ClientError> {
+        let got = link.recv();
+        if !matches!(got, Err(ClientError::Io(_) | ClientError::Protocol(_))) {
+            let mut links = self.links.lock().expect("query links");
+            if links.len() <= i {
+                links.resize_with(i + 1, Vec::new);
+            }
+            links[i].push(link);
+        }
+        got
     }
 }
 
@@ -1123,11 +1184,11 @@ impl Router {
                             info.ingested
                         )));
                     }
-                    nodes.push(Node::fresh(w.clone(), Some(client)));
+                    nodes.push(Node::fresh(Some(client)));
                 }
                 // A fresh cluster needs every worker; a recovering one
                 // starts with the hole down and repairs it in background.
-                Err(_) if recovered => nodes.push(Node::fresh(w.clone(), None)),
+                Err(_) if recovered => nodes.push(Node::fresh(None)),
                 Err(m) => return Err(invalid(m)),
             }
         }
@@ -1138,6 +1199,7 @@ impl Router {
             cfg,
             opts,
             nodes,
+            addrs: workers.into(),
             owners,
             payloads,
             logs,
@@ -1166,7 +1228,7 @@ impl Router {
                     .expect("admitted node")
                     .slice_assign(&owned)
                     .map_err(|e| {
-                        invalid(format!("worker {}: slice assign: {e}", inner.nodes[i].addr))
+                        invalid(format!("worker {}: slice assign: {e}", inner.addrs[i]))
                     })?;
             }
             if inner.durable.is_some() {
@@ -1178,6 +1240,7 @@ impl Router {
         let shared = Arc::new(RouterShared {
             plan: Mutex::new(Arc::new(inner.plan())),
             client: inner.opts.client.clone(),
+            links: Mutex::default(),
             inner: Mutex::new(inner),
             shed_reads: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -1350,7 +1413,6 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
     const BUF_RETAIN: usize = 1 << 20;
     let mut payload: Vec<u8> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
-    let mut conns = QueryConns::default();
     loop {
         if payload.capacity() > BUF_RETAIN {
             payload.shrink_to(BUF_RETAIN);
@@ -1394,7 +1456,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
                 continue;
             }
         };
-        let response = handle_request(space, request, &shared, &mut conns);
+        let response = handle_request(space, request, &shared);
         let bye = matches!(response, Response::Bye);
         if bye {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -1439,43 +1501,6 @@ fn check_watermark(ingested: u64, mode: &ReadMode) -> Result<(), Fail> {
     }
 }
 
-/// One front-end connection's query connections, one per worker, dialled
-/// on first use with [`client_opts_for`] — so a fault plan in the worker
-/// options covers reads too.
-#[derive(Default)]
-struct QueryConns(Vec<Option<Client>>);
-
-impl QueryConns {
-    fn send(
-        &mut self,
-        opts: &ClientOptions,
-        addr: &str,
-        i: usize,
-        req: &Request,
-    ) -> Result<(), ClientError> {
-        if self.0.len() <= i {
-            self.0.resize_with(i + 1, || None);
-        }
-        let conn = match &mut self.0[i] {
-            Some(conn) => conn,
-            slot @ None => slot.insert(Client::connect_with(addr, &client_opts_for(opts, i))?),
-        };
-        let sent = conn.send(req);
-        if sent.is_err() {
-            self.0[i] = None;
-        }
-        sent
-    }
-
-    fn recv(&mut self, i: usize) -> Result<Response, ClientError> {
-        let got = self.0[i].as_mut().expect("request sent").recv();
-        if matches!(got, Err(ClientError::Io(_) | ClientError::Protocol(_))) {
-            self.0[i] = None; // out of sync: the next request redials
-        }
-        got
-    }
-}
-
 /// Why a pushed-down read failed.
 enum ReadFail {
     /// Node `i` could not answer: transport or protocol trouble that
@@ -1492,7 +1517,6 @@ enum ReadFail {
 /// failure gets one fresh connection before it counts as the node's.
 fn pushdown(
     shared: &RouterShared,
-    conns: &mut QueryConns,
     plan: &ReadPlan,
     groups: &[(usize, Vec<u32>)],
     query: ScopedQuery,
@@ -1512,22 +1536,22 @@ fn pushdown(
     let sent: Vec<_> = groups
         .iter()
         .zip(&requests)
-        .map(|((i, _), req)| conns.send(&shared.client, &plan.addrs[*i], *i, req))
+        .map(|((i, _), req)| shared.send_query(*i, &plan.addrs[*i], req, false))
         .collect();
     // Every sent frame's answer is read before any failure is acted on,
-    // so no connection is left holding an unread response.
+    // so no link is left holding an unread response.
     let got: Vec<_> = groups
         .iter()
         .zip(sent)
-        .map(|((i, _), sent)| sent.and_then(|()| conns.recv(*i)))
+        .map(|((i, _), sent)| sent.and_then(|link| shared.recv_query(*i, link)))
         .collect();
     let (mut lists, mut answer) = (Vec::with_capacity(groups.len()), None);
     for (((i, _), req), got) in groups.iter().zip(&requests).zip(got) {
         let (i, addr) = (*i, plan.addrs[*i].as_str());
         let got = match got {
-            Err(ClientError::Io(_) | ClientError::Protocol(_)) => conns
-                .send(&shared.client, addr, i, req)
-                .and_then(|()| conns.recv(i)),
+            Err(ClientError::Io(_) | ClientError::Protocol(_)) => shared
+                .send_query(i, addr, req, true)
+                .and_then(|link| shared.recv_query(i, link)),
             other => other,
         };
         match (query, got) {
@@ -1573,12 +1597,7 @@ fn pushdown(
 /// down to the designated readers of the partitions it needs. Only a
 /// failure takes [`Inner`] — to fail the node over (or rejoin a partition's
 /// last owner) and republish the plan; the read then retries once.
-fn read(
-    shared: &RouterShared,
-    conns: &mut QueryConns,
-    query: ScopedQuery,
-    mode: ReadMode,
-) -> Response {
+fn read(shared: &RouterShared, query: ScopedQuery, mode: ReadMode) -> Response {
     let mut plan = shared.plan();
     let needed: Vec<usize> = match query {
         ScopedQuery::Certify(v) => vec![partition_of(v, plan.reader.len())],
@@ -1590,14 +1609,13 @@ fn read(
         }
         let down = match plan.groups(&needed) {
             None => None, // a needed partition has no live owner
-            Some(groups) => match pushdown(shared, conns, &plan, &groups, query, mode) {
+            Some(groups) => match pushdown(shared, &plan, &groups, query, mode) {
                 Ok(answer) => return answer,
-                Err(ReadFail::Node(i, _)) if attempt == 0 => Some(i),
+                Err(ReadFail::Node(i, _)) if attempt == 0 => Some((i, plan.incarnation[i])),
                 Err(ReadFail::Node(_, fail) | ReadFail::Typed(fail)) => return fail_response(fail),
             },
         };
-        let planned = &plan.reader;
-        if let Err(fail) = shared.with_inner(|inner| inner.fail_over(down, planned, &needed)) {
+        if let Err(fail) = shared.with_inner(|inner| inner.fail_over(down, &needed)) {
             return fail_response(fail);
         }
         plan = shared.plan();
@@ -1608,12 +1626,7 @@ fn read(
     ))
 }
 
-fn handle_request(
-    space: SpaceId,
-    request: Request,
-    shared: &RouterShared,
-    conns: &mut QueryConns,
-) -> Response {
+fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Response {
     // Requests that need no space routing, or that a router categorically
     // does not serve, are answered before the space check.
     match &request {
@@ -1656,9 +1669,9 @@ fn handle_request(
         );
     }
     match request {
-        Request::Certified(mode) => return read(shared, conns, ScopedQuery::Certified, mode),
-        Request::Certify(v, mode) => return read(shared, conns, ScopedQuery::Certify(v), mode),
-        Request::Top(k, mode) => return read(shared, conns, ScopedQuery::Top(k), mode),
+        Request::Certified(mode) => return read(shared, ScopedQuery::Certified, mode),
+        Request::Certify(v, mode) => return read(shared, ScopedQuery::Certify(v), mode),
+        Request::Top(k, mode) => return read(shared, ScopedQuery::Top(k), mode),
         _ => {}
     }
     let shed_reads = shared.shed_reads.load(Ordering::Relaxed);

@@ -67,6 +67,8 @@ pub struct RefreshBarrier {
     any_dirty: bool,
     /// Routed-update count at send time (the publish-consistent `ingested`).
     ingested: u64,
+    /// [`Engine::restores`] at send time.
+    restores: u64,
 }
 
 impl RefreshBarrier {
@@ -87,6 +89,7 @@ impl RefreshBarrier {
             epochs: self.epochs,
             any_dirty: self.any_dirty,
             ingested: self.ingested,
+            restores: self.restores,
         }
     }
 }
@@ -98,6 +101,7 @@ pub struct RefreshDone {
     epochs: Vec<u64>,
     any_dirty: bool,
     ingested: u64,
+    restores: u64,
 }
 
 /// A running sharded engine. See the crate docs for the architecture.
@@ -126,6 +130,9 @@ pub struct Engine {
     /// The combined global view assembled from the memos; shared out by
     /// [`Engine::view`] so an unchanged engine answers queries in O(1).
     cached_view: Option<Arc<GlobalView>>,
+    /// Restores (whole or slice) applied so far. A barrier sent before one
+    /// carries views of the pre-restore state, so it is never installed.
+    restores: u64,
 }
 
 impl Engine {
@@ -153,6 +160,7 @@ impl Engine {
             epochs: vec![0; cfg.partitions],
             memos: (0..cfg.partitions).map(|_| None).collect(),
             cached_view: None,
+            restores: 0,
             cfg,
         }
     }
@@ -255,6 +263,7 @@ impl Engine {
             epochs: self.epochs.clone(),
             any_dirty,
             ingested: self.ingested,
+            restores: self.restores,
         }
     }
 
@@ -264,8 +273,14 @@ impl Engine {
     /// dirty), reassemble the combined view if anything changed, and wrap
     /// the counters captured by the barrier (publish-consistent: `ingested`
     /// is the routed count at send time, which the barrier guarantees is
-    /// fully applied in the returned view).
+    /// fully applied in the returned view). A barrier that a restore
+    /// overtook describes the pre-restore state: it is dropped and the
+    /// refresh re-run synchronously, so the returned view never predates
+    /// the restore.
     pub fn refresh_install(&mut self, done: RefreshDone) -> (Arc<GlobalView>, EngineStats) {
+        if done.restores != self.restores {
+            return self.refresh();
+        }
         let ingested = done.ingested;
         let per_shard = self.install(done);
         let mut stats = self.wrap_stats(per_shard);
@@ -432,6 +447,7 @@ impl Engine {
             self.memos[p as usize] = None;
         }
         self.cached_view = None;
+        self.restores += 1;
         Ok(())
     }
 
@@ -488,6 +504,7 @@ impl Engine {
         // and the combined view describe the pre-restore world.
         self.memos = (0..self.cfg.partitions).map(|_| None).collect();
         self.cached_view = None;
+        self.restores += 1;
         Ok(())
     }
 
@@ -697,6 +714,26 @@ mod tests {
             full.view().certified(),
             "certified answer diverged after slice graft"
         );
+    }
+
+    #[test]
+    fn barrier_overtaken_by_a_restore_never_installs_pre_restore_views() {
+        let (updates, _) = planted_updates(16);
+        let mut donor = Engine::start(io_cfg(2));
+        let empty = donor.checkpoint_slice(&(0..8).collect::<Vec<u32>>());
+        donor.ingest(updates.iter().copied());
+        let want = donor.view();
+
+        // A refresher's barrier is in flight over the full state when the
+        // slice restore rolls every partition back to empty.
+        let mut engine = Engine::start(io_cfg(2));
+        engine.ingest(updates.iter().copied());
+        let barrier = engine.refresh_begin();
+        engine.restore_slice(&empty).expect("slice restore");
+        let (view, _) = engine.refresh_install(barrier.wait());
+        assert_eq!(view.top(3), Vec::new(), "installed a pre-restore view");
+        engine.ingest(updates.iter().copied());
+        assert_eq!(engine.view().top(3), want.top(3));
     }
 
     #[test]

@@ -502,6 +502,26 @@ impl SpaceLoad {
     }
 }
 
+/// A space's cluster assignment, as its router last set it.
+#[derive(Default)]
+struct Slice {
+    /// The assigned partitions, ascending (`None` = never assigned). Bounds
+    /// what [`Request::ViewPull`] ships (unassigned: every partition) and
+    /// what [`Request::ScopedQuery`] may ask about (unassigned: nothing). A
+    /// [`Request::SliceRestore`] empties it until the router's closing
+    /// [`Request::SliceAssign`]: mid-handoff the space answers for nothing.
+    parts: Option<Vec<u32>>,
+    /// Bumped by every restore and assignment. A scoped read that sees it
+    /// change while it waits for its snapshot raced a handoff and is
+    /// refused, so the router fails it over instead of taking the
+    /// checkpoint-only state the restore published.
+    generation: u64,
+    /// The ingest watermark at the last assignment. The router replays the
+    /// slice's retained log before assigning it, so scoped reads — `?stale`
+    /// ones too — answer only from snapshots that cover the replay.
+    floor: u64,
+}
+
 /// Everything the server knows about one live space.
 struct SpaceHandle {
     space: SpaceId,
@@ -524,11 +544,8 @@ struct SpaceHandle {
     /// Bytes this space has appended to the shared WAL since its last
     /// checkpoint — the lock-free stats mirror of its share of the log.
     wal_bytes: AtomicU64,
-    /// The partition slice a cluster router assigned to this space (`None`
-    /// = unassigned). Bounds what [`Request::ViewPull`] ships (unassigned:
-    /// every partition) and what [`Request::ScopedQuery`] may ask about
-    /// (unassigned: nothing).
-    slice: Mutex<Option<Vec<u32>>>,
+    /// The partition slice a cluster router assigned to this space.
+    slice: Mutex<Slice>,
     /// In-flight admission gauges and shed counters.
     load: SpaceLoad,
 }
@@ -561,7 +578,7 @@ impl SpaceHandle {
             publish_cv: Condvar::new(),
             started: Instant::now(),
             wal_bytes: AtomicU64::new(0),
-            slice: Mutex::new(None),
+            slice: Mutex::default(),
             load,
         })
     }
@@ -1569,18 +1586,23 @@ fn read_snapshot(
                     )));
                 }
             }
-            handle.wait_published(*want, WATERMARK_WAIT).map_err(|()| {
-                Box::new(Response::error(
-                    ErrorCode::WatermarkTimeout,
-                    format!(
-                        "published watermark did not reach {want} within {}s \
-                             (the write is durable; retry, or read ?stale)",
-                        WATERMARK_WAIT.as_secs()
-                    ),
-                ))
-            })
+            wait_published(handle, *want)
         }
     }
+}
+
+/// [`SpaceHandle::wait_published`] for [`WATERMARK_WAIT`], typed on timeout.
+fn wait_published(handle: &SpaceHandle, want: u64) -> Result<Arc<Published>, Box<Response>> {
+    handle.wait_published(want, WATERMARK_WAIT).map_err(|()| {
+        Box::new(Response::error(
+            ErrorCode::WatermarkTimeout,
+            format!(
+                "published watermark did not reach {want} within {}s \
+                 (the write is durable; retry, or read ?stale)",
+                WATERMARK_WAIT.as_secs()
+            ),
+        ))
+    })
 }
 
 fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared) -> Response {
@@ -1844,7 +1866,11 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                     ),
                 );
             }
-            *handle.slice.lock().expect("slice slot") = Some(parts);
+            let floor = handle.state.lock().expect("space state").ingest_seq;
+            let mut slice = handle.slice.lock().expect("slice slot");
+            slice.parts = Some(parts);
+            slice.generation += 1;
+            slice.floor = floor;
             Response::SpaceOk
         }
         Request::ViewPull {
@@ -1864,7 +1890,7 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                 // quiesced-cluster fast path).
                 return Response::View(WireView::Unchanged { epoch: since });
             }
-            let slice = handle.slice.lock().expect("slice slot").clone();
+            let slice = handle.slice.lock().expect("slice slot").parts.clone();
             let view = match snap.view.as_ref() {
                 GlobalView::InsertOnly { parts, .. } => {
                     let owned: Vec<(u32, Vec<u8>)> = parts
@@ -1919,14 +1945,17 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
         // the watermark wait and lag-budget shedding a client read gets.
         Request::ScopedQuery { parts, query, mode } => {
             // Only partitions the router assigned here: a worker restarted
-            // empty, and not yet handed its slice back, must not answer for
-            // state it does not hold.
-            let unassigned = {
+            // empty, or mid-handoff, must not answer for state it does not
+            // hold.
+            let (unassigned, generation, floor) = {
                 let slice = handle.slice.lock().expect("slice slot");
-                parts
-                    .iter()
-                    .find(|p| slice.as_ref().is_none_or(|s| s.binary_search(p).is_err()))
-                    .copied()
+                let unassigned = parts.iter().copied().find(|p| {
+                    slice
+                        .parts
+                        .as_ref()
+                        .is_none_or(|s| s.binary_search(p).is_err())
+                });
+                (unassigned, slice.generation, slice.floor)
             };
             if let Some(p) = unassigned {
                 return Response::error(
@@ -1935,9 +1964,19 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                 );
             }
             let snap = match read_snapshot(handle, &mode, &shared.limits) {
-                Ok(snap) => snap,
+                Ok(snap) if snap.watermark >= floor => snap,
+                Ok(_) => match wait_published(handle, floor) {
+                    Ok(snap) => snap,
+                    Err(resp) => return *resp,
+                },
                 Err(resp) => return *resp,
             };
+            if handle.slice.lock().expect("slice slot").generation != generation {
+                return Response::error(
+                    ErrorCode::NodeUnavailable,
+                    "this worker's slice was handed off while the read waited".into(),
+                );
+            }
             // Assigned partitions were range-checked by `SliceAssign`.
             let mut scope = vec![false; handle.cfg.partitions];
             for &p in &parts {
@@ -1978,6 +2017,14 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
             Response::Checkpoint(bytes)
         }
         Request::SliceRestore(bytes) => {
+            // Withdraw the slice before the restore publishes: scoped reads
+            // must not see the checkpoint-only state the router's replay and
+            // closing assignment complete.
+            {
+                let mut slice = handle.slice.lock().expect("slice slot");
+                slice.parts = Some(Vec::new());
+                slice.generation += 1;
+            }
             let mut state = handle.state.lock().expect("space state");
             match state.engine.restore_slice(&bytes) {
                 Ok(()) => {

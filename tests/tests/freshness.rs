@@ -16,8 +16,10 @@
 
 use fews_core::insertion_deletion::IdConfig;
 use fews_core::insertion_only::FewwConfig;
-use fews_engine::{Engine, EngineConfig};
-use fews_net::{Client, Server, ServerOptions};
+use fews_engine::{Engine, EngineConfig, GlobalView};
+use fews_net::{
+    Client, ErrorCode, ReadMode, Request, Response, ScopedQuery, Server, ServerOptions,
+};
 use fews_stream::update::as_insertions;
 use fews_stream::{Edge, Update};
 use std::time::{Duration, Instant};
@@ -216,6 +218,73 @@ fn router_reads_waiting_on_workers_block_neither_ingest_nor_stale_reads() {
         w.shutdown();
         w.join();
     }
+}
+
+/// A worker's pushed-down reads racing a rejoin of that (live) worker.
+/// The rejoin is the router's slice push, sent by hand here: restore the
+/// slice from the router's payload, replay the retained log, re-assign.
+/// The restore publishes checkpoint-only state at once, and the published
+/// watermark never goes down. So a read must never answer from that state,
+/// whether it was already waiting when the restore landed (it is refused,
+/// and a router fails it over) or arrives after the assignment with the
+/// router's older watermark or `?stale` (it waits for the replay).
+#[test]
+fn scoped_reads_never_answer_from_a_rejoin_before_its_replay() {
+    let (cfg, updates) = io_workload();
+    let slow = ServerOptions {
+        refresh_debounce: Some(Duration::from_millis(300)),
+        ..ServerOptions::default()
+    };
+    let worker = Server::start_with(cfg, "127.0.0.1:0", slow).expect("worker");
+    let addr = worker.local_addr();
+    let all: Vec<u32> = (0..PARTITIONS as u32).collect();
+    let top = move |mode| Request::ScopedQuery {
+        parts: (0..PARTITIONS as u32).collect(),
+        query: ScopedQuery::Top(3),
+        mode,
+    };
+    let answer = |got: Response| match got {
+        Response::Hits(hits) => GlobalView::merge_top(vec![hits], 3),
+        other => panic!("scoped top answered {other:?}"),
+    };
+    // The router's payload for the slice predates the batch, so the batch
+    // sits in its retained log.
+    let baseline = Engine::start(cfg).checkpoint_slice(&all);
+    let batch = &updates[..4 * CHUNK];
+    let mut reference = Engine::start(cfg.with_shards(1));
+    reference.ingest(batch.iter().copied());
+    let want = reference.view().top(3);
+    assert!(!want.is_empty(), "the batch must certify something");
+
+    let mut router = Client::connect(addr).expect("connect router link");
+    router.slice_assign(&all).expect("assign");
+    router.ingest_batch(batch).expect("ingest");
+    let acked = router.watermark();
+    // A fresh read waits ~300 ms for the refresher to publish the batch.
+    let waiting = std::thread::spawn(move || {
+        let mut link = Client::connect(addr).expect("connect query link");
+        link.roundtrip(&top(ReadMode::AtLeast(acked)))
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    router.slice_restore(&baseline).expect("slice restore");
+    for chunk in batch.chunks(CHUNK) {
+        router.ingest_batch(chunk).expect("replay");
+    }
+    router.slice_assign(&all).expect("re-assign");
+    match waiting.join().expect("waiting reader") {
+        Ok(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::NodeUnavailable),
+        Ok(got) => assert_eq!(answer(got), want, "read answered mid-rejoin"),
+        Err(e) => panic!("waiting read failed: {e}"),
+    }
+    // After the assignment, a read at the pre-rejoin watermark and a
+    // `?stale` read both see the replayed batch.
+    let mut link = Client::connect(addr).expect("connect query link");
+    for mode in [ReadMode::AtLeast(acked), ReadMode::Stale] {
+        let got = link.roundtrip(&top(mode)).expect("read after the rejoin");
+        assert_eq!(answer(got), want, "{mode:?} read after the rejoin");
+    }
+    worker.shutdown();
+    worker.join();
 }
 
 /// Watermarks survive a `--data-dir` restart: recovery replays the WAL into

@@ -421,6 +421,46 @@ fn router_passes_worker_read_sheds_through_and_counts_them() {
     worker.join();
 }
 
+/// Router reads share one pool of query links per worker, so front-end
+/// connections do not multiply the router's connections to its workers:
+/// eight open router clients reading one after another fit under a worker
+/// connection cap of three (the router's own link, one query link, spare).
+#[test]
+fn router_query_links_are_pooled_across_front_end_connections() {
+    let cfg = base_cfg();
+    let capped = ServerOptions {
+        max_conns: 3,
+        ..ServerOptions::default()
+    };
+    let worker = Server::start_with(cfg, "127.0.0.1:0", capped).expect("worker");
+    let addrs = vec![worker.local_addr().to_string()];
+    let opts = fews_cluster::RouterOptions {
+        client: ClientOptions::bounded(Duration::from_secs(2), 0),
+        heartbeat: None,
+        forward_shutdown: false,
+        replicas: 1,
+        ..fews_cluster::RouterOptions::default()
+    };
+    let router = fews_cluster::Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("router");
+    let mut clients: Vec<Client> = (0..8)
+        .map(|_| Client::connect(router.local_addr()).expect("connect"))
+        .collect();
+    clients[0]
+        .ingest_batch(&workload(10)[..97])
+        .expect("ingest");
+    for (i, client) in clients.iter_mut().enumerate() {
+        client
+            .top(3)
+            .unwrap_or_else(|e| panic!("router client {i}: {e}"));
+    }
+    let overload = clients[0].stats().expect("router stats").overload;
+    assert_eq!(overload.shed_reads, 0, "a worker shed a router read");
+    router.shutdown();
+    router.join();
+    worker.shutdown();
+    worker.join();
+}
+
 /// The router maps its own retained-log growth into backpressure: with
 /// every owner of a partition down, retained updates pile up until the
 /// budget trips, and further ingest sheds with a typed Overloaded + hint
