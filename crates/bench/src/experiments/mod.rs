@@ -26,6 +26,23 @@ pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+/// The source revision a `BENCH_*.json` was measured at: the short commit
+/// hash, `dirty` when the working tree has uncommitted changes, `no-git`
+/// outside a checkout.
+pub(crate) fn git_rev() -> String {
+    let git = |argv: &[&str]| -> Option<String> {
+        let o = std::process::Command::new("git").args(argv).output().ok()?;
+        o.status
+            .success()
+            .then(|| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "--short=12", "HEAD"]) {
+        Some(rev) if git(&["status", "--porcelain"]).is_some_and(|s| s.is_empty()) => rev,
+        Some(_) => "dirty".into(),
+        None => "no-git".into(),
+    }
+}
+
 /// Shared experiment context.
 #[derive(Debug, Clone)]
 pub struct ExpCtx {

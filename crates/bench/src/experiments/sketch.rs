@@ -1,6 +1,6 @@
 //! `sketch` — before/after throughput of the flat ℓ₀-sampler banks.
 //!
-//! Two measurements, written to CSV tables and to `BENCH_sketch.json`:
+//! Three measurements, written to CSV tables and to `BENCH_sketch.json`:
 //!
 //! 1. **Bank-size sweep** — a turnstile stream pushed through N independent
 //!    [`L0Sampler`]s (the pre-bank layout) versus one [`SamplerBank`] of the
@@ -12,19 +12,27 @@
 //!    experiment's dblog cell. The PR 2 baseline for this cell
 //!    (`BENCH_engine.json`) was ~430 updates/s; the acceptance target is
 //!    ≥ 50× that.
+//! 3. **Decode** — the served `dblog` shape (`fews listen --model id
+//!    --scale 0.02`: 48 records × 1024 users, d = 16, α = 2, 16 partitions):
+//!    µs per `sample_all` on one edge bank fed the replayed log, and ms to
+//!    re-decode all partitions (`pooled_witnesses_cached`) after each
+//!    1024-update cycle — the refresher's work behind a fresh read.
 //!
 //! Space is reported alongside (`SpaceUsage` bytes): banks also shrink the
 //! resident footprint by collapsing thousands of nested `Vec`s into three
 //! flat buffers per bank.
 
-use super::ExpCtx;
+use super::{git_rev, ExpCtx};
 use crate::table::{f3, Table};
 use fews_common::rng::rng_for;
+use fews_common::stats::quantile;
 use fews_common::SpaceUsage;
 use fews_core::insertion_deletion::{FewwInsertDelete, IdConfig};
+use fews_engine::{partition_of, partition_seed, DEFAULT_PARTITIONS};
 use fews_sketch::bank::SamplerBank;
 use fews_sketch::l0::L0Sampler;
 use fews_stream::Update;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Run `pass` repeatedly until at least `min_secs` of wall clock or
@@ -104,6 +112,102 @@ impl Cell {
             self.before_bytes,
             self.after_bytes
         )
+    }
+}
+
+/// The `decode` cell's figures.
+struct Decode {
+    samplers: usize,
+    sample_all_us: f64,
+    sample_all_calls: usize,
+    cycle_updates: usize,
+    cycles: usize,
+    cycle_decode_ms: f64,
+}
+
+/// Decode cost on the served `dblog` shape. The log is replayed end to end
+/// (as the stack benchmark's `dblog-id-fresh` sends it), in 64-update
+/// frames routed to partitions by [`partition_of`].
+fn decode_cell(ctx: &ExpCtx) -> Decode {
+    const FRAME: usize = 64;
+    const CYCLE: usize = 1024;
+    let (records, users, hot) = (48u32, 1u64 << 10, 16u32);
+    let cfg = IdConfig::with_scale(records, users, hot, 2, 0.02);
+    let log = fews_stream::gen::dblog::db_log(
+        records,
+        users,
+        hot,
+        4,
+        0.5,
+        &mut rng_for(ctx.seed, 0x5E_0D01),
+    );
+    let replay = |k: usize| log.updates[k % log.updates.len()];
+
+    // One edge bank fed the log: the per-call decode cost.
+    let mut bank = SamplerBank::with_config(
+        records as u64 * users,
+        cfg.edge_sampler_count(),
+        cfg.l0,
+        &mut rng_for(ctx.seed, 0x5E_0D02),
+    );
+    let fed: Vec<(u64, i64)> = (0..CYCLE * 4)
+        .map(|k| {
+            let u = replay(k);
+            (u.edge.linear_index(users), u.delta as i64)
+        })
+        .collect();
+    for frame in fed.chunks(FRAME) {
+        bank.update_batch(frame);
+    }
+    let sweeps = if ctx.quick { 5 } else { 101 };
+    let per_call: Vec<f64> = (0..sweeps)
+        .map(|_| {
+            let t = Instant::now();
+            for i in 0..bank.len() {
+                black_box(bank.sample_all(i));
+            }
+            t.elapsed().as_secs_f64() * 1e6 / bank.len() as f64
+        })
+        .collect();
+    let samplers = bank.len();
+    drop(bank);
+
+    // All partitions: one decode pass after every 1024-update cycle.
+    let mut parts: Vec<FewwInsertDelete> = (0..DEFAULT_PARTITIONS)
+        .map(|p| FewwInsertDelete::new(cfg, partition_seed(ctx.seed, p as u32)))
+        .collect();
+    let mut routed = vec![Vec::new(); DEFAULT_PARTITIONS];
+    let cycles = if ctx.quick { 4 } else { 101 };
+    let mut next = 0usize;
+    let mut cycle_ms = Vec::with_capacity(cycles);
+    // Cycle 0 warms the decode memos and is not timed.
+    for cycle in 0..=cycles {
+        for _ in 0..CYCLE / FRAME {
+            for _ in 0..FRAME {
+                let u = replay(next);
+                next += 1;
+                routed[partition_of(u.edge.a, DEFAULT_PARTITIONS)].push(u);
+            }
+            for (part, batch) in parts.iter_mut().zip(&mut routed) {
+                part.push_batch(batch);
+                batch.clear();
+            }
+        }
+        let t = Instant::now();
+        for part in &mut parts {
+            black_box(part.pooled_witnesses_cached());
+        }
+        if cycle > 0 {
+            cycle_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    Decode {
+        samplers,
+        sample_all_us: quantile(&per_call, 0.5),
+        sample_all_calls: sweeps * samplers,
+        cycle_updates: CYCLE,
+        cycles,
+        cycle_decode_ms: quantile(&cycle_ms, 0.5),
     }
 }
 
@@ -257,26 +361,63 @@ pub fn sketch_exp(ctx: &ExpCtx) -> Vec<Table> {
         .write_csv(&ctx.out_dir, "sketch_id_model")
         .expect("csv");
 
+    let decode = decode_cell(ctx);
+    let mut decode_table = Table::new(
+        "sketch — decode on the served dblog shape (16 partitions)",
+        &[
+            "edge_samplers",
+            "sample_all_us",
+            "sample_all_calls",
+            "cycle_updates",
+            "cycles",
+            "cycle_decode_ms",
+        ],
+    );
+    decode_table.push_row(vec![
+        decode.samplers.to_string(),
+        f3(decode.sample_all_us),
+        decode.sample_all_calls.to_string(),
+        decode.cycle_updates.to_string(),
+        decode.cycles.to_string(),
+        f3(decode.cycle_decode_ms),
+    ]);
+    decode_table
+        .write_csv(&ctx.out_dir, "sketch_decode")
+        .expect("csv");
+
     let size_json: Vec<String> = size_cells
         .iter()
         .map(|c| format!("  {}", c.json(None)))
         .collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"experiment\": \"sketch\",\n  \"mode\": \"{}\",\n  \"seed\": {},\n  \
+         \"cores\": {cores},\n  \"git_rev\": \"{}\",\n  \
          \"baseline_pr2_engine_dblog_updates_per_sec\": 426,\n  {},\n  \
          \"witness_pool\": {{\"raw_pairs\": {}, \"deduped_pairs\": {}, \
          \"raw_bytes\": {}, \"deduped_bytes\": {}}},\n  \
+         \"decode\": {{\"partitions\": {}, \"edge_samplers\": {}, \
+         \"sample_all_us\": {:.3}, \"sample_all_calls\": {}, \"cycle_updates\": {}, \
+         \"cycles\": {}, \"cycle_decode_ms\": {:.3}}},\n  \
          \"bank_sizes\": {{\n{}\n  }}\n}}\n",
         if ctx.quick { "quick" } else { "full" },
         seed,
+        git_rev(),
         id_cell.json(Some(426.0)),
         pool_raw,
         pool_deduped,
         pool_raw * pair_bytes,
         pool_deduped * pair_bytes,
+        DEFAULT_PARTITIONS,
+        decode.samplers,
+        decode.sample_all_us,
+        decode.sample_all_calls,
+        decode.cycle_updates,
+        decode.cycles,
+        decode.cycle_decode_ms,
         size_json.join(",\n")
     );
     std::fs::write(ctx.out_dir.join("BENCH_sketch.json"), json).expect("write BENCH_sketch.json");
 
-    vec![sweep, id_table]
+    vec![sweep, id_table, decode_table]
 }

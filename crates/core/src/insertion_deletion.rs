@@ -23,7 +23,7 @@ use crate::neighbourhood::Neighbourhood;
 use fews_common::math::{ilog2_ceil, insertion_deletion_x};
 use fews_common::rng::rng_for;
 use fews_common::SpaceUsage;
-use fews_sketch::bank::SamplerBank;
+use fews_sketch::bank::{DecodeScratch, SamplerBank};
 use fews_sketch::l0::{L0Config, L0Sampler};
 use fews_stream::{Edge, Update};
 use std::collections::HashMap;
@@ -461,10 +461,11 @@ impl FewwInsertDelete {
         let mut scratch: Vec<u64> = Vec::new();
         match &self.backend {
             IdBackend::Banked { vertex_banks, .. } => {
+                let mut work = DecodeScratch::default();
                 for (a, bank) in vertex_banks {
                     scratch.clear();
                     for i in 0..bank.len() {
-                        if let Some((b, c)) = bank.sample(i) {
+                        if let Some((b, c)) = bank.sample_with(i, &mut work) {
                             if c > 0 {
                                 scratch.push(b);
                             }
@@ -512,8 +513,9 @@ impl FewwInsertDelete {
         };
         match &self.backend {
             IdBackend::Banked { edge_bank, .. } => {
+                let mut work = DecodeScratch::default();
                 for i in 0..edge_bank.len() {
-                    harvest(edge_bank.sample(i));
+                    harvest(edge_bank.sample_with(i, &mut work));
                 }
             }
             IdBackend::Reference { edge_samplers, .. } => {
@@ -606,11 +608,12 @@ impl FewwInsertDelete {
             Some(c) if c.vertex.len() == vertex_banks.len() => c,
             slot => slot.insert(DecodeCache::stale(vertex_banks.len())),
         };
+        let mut scratch = DecodeScratch::default();
         for ((gen, witnesses), (_, bank)) in cache.vertex.iter_mut().zip(vertex_banks) {
             if *gen != bank.generation() {
                 witnesses.clear();
                 for i in 0..bank.len() {
-                    if let Some((b, c)) = bank.sample(i) {
+                    if let Some((b, c)) = bank.sample_with(i, &mut scratch) {
                         if c > 0 {
                             witnesses.push(b);
                         }
@@ -627,7 +630,7 @@ impl FewwInsertDelete {
         if cache.edge.0 != edge_bank.generation() {
             cache.edge.1.clear();
             for i in 0..edge_bank.len() {
-                if let Some((idx, c)) = edge_bank.sample(i) {
+                if let Some((idx, c)) = edge_bank.sample_with(i, &mut scratch) {
                     if c > 0 {
                         let e = Edge::from_linear_index(idx, self.config.m);
                         cache.edge.1.push((e.a, e.b));

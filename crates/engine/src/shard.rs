@@ -56,10 +56,11 @@ pub(crate) struct ShardStatsMsg {
     pub space_bytes: usize,
 }
 
-/// One partition's algorithm instance.
+/// One partition's algorithm instance. The insertion-deletion state is
+/// boxed: its sampler banks' headers outweigh the insertion-only variant.
 enum PartitionAlg {
     Io(FewwInsertOnly),
-    Id(FewwInsertDelete),
+    Id(Box<FewwInsertDelete>),
 }
 
 /// A decoded, validated snapshot awaiting [`ShardMsg::CommitRestore`].
@@ -73,7 +74,9 @@ impl PartitionAlg {
         let seed = partition_seed(cfg.seed, partition);
         match cfg.model {
             ModelSpec::InsertOnly(c) => PartitionAlg::Io(FewwInsertOnly::new(c, seed)),
-            ModelSpec::InsertDelete(c) => PartitionAlg::Id(FewwInsertDelete::new(c, seed)),
+            ModelSpec::InsertDelete(c) => {
+                PartitionAlg::Id(Box::new(FewwInsertDelete::new(c, seed)))
+            }
         }
     }
 

@@ -90,6 +90,11 @@ pub struct SamplerBank {
     coeffs: Vec<u64>,
     /// Exact-level cells, flat in `(sampler, level, row, col)` order.
     cells: Vec<OneSparse>,
+    /// Per-sampler level bound: every cell of sampler `i` above physical
+    /// level `top[i]` is zero. Raised by the update paths, recomputed
+    /// exactly by [`Self::visit_cells_mut`]; decode starts here instead of
+    /// at `max_level`. Derived state, never serialized.
+    top: Vec<u8>,
 }
 
 impl SamplerBank {
@@ -123,6 +128,7 @@ impl SamplerBank {
             pow: Box::new(PowTable::new(z)),
             coeffs,
             cells: vec![OneSparse::default(); count * levels * rows_width(cfg.rows, width)],
+            top: vec![0; count],
         }
     }
 
@@ -225,10 +231,11 @@ impl SamplerBank {
         let lw = rows * width;
         let cps = self.cells_per_sampler();
         let max_level = self.max_level;
-        for (c, sampler_cells) in self
+        for ((c, sampler_cells), top) in self
             .coeffs
             .chunks_exact(stride)
             .zip(self.cells.chunks_exact_mut(cps))
+            .zip(&mut self.top)
         {
             let mut acc = 0u128;
             for j in 0..LEVEL_K {
@@ -236,6 +243,7 @@ impl SamplerBank {
             }
             let h = mod_mersenne(acc);
             let level = (h << 3).leading_zeros().min(60).min(max_level) as usize;
+            *top = (*top).max(level as u8);
             let level_cells = &mut sampler_cells[level * lw..level * lw + lw];
             for (r, row_cells) in level_cells.chunks_exact_mut(width).enumerate() {
                 let rh = mod_mersenne(
@@ -307,11 +315,13 @@ impl SamplerBank {
         let lw = rows * width;
         let cps = self.cells_per_sampler();
         let max_level = self.max_level;
-        for (c, sampler_cells) in self
+        for ((c, sampler_cells), top) in self
             .coeffs
             .chunks_exact(stride)
             .zip(self.cells.chunks_exact_mut(cps))
+            .zip(&mut self.top)
         {
+            let mut deepest = *top as usize;
             for (u, &(index, delta)) in updates.iter().enumerate() {
                 let xpu = &xp[u * LEVEL_K..u * LEVEL_K + LEVEL_K];
                 let mut acc = 0u128;
@@ -320,6 +330,7 @@ impl SamplerBank {
                 }
                 let h = mod_mersenne(acc);
                 let level = (h << 3).leading_zeros().min(60).min(max_level) as usize;
+                deepest = deepest.max(level);
                 let level_cells = &mut sampler_cells[level * lw..level * lw + lw];
                 let (x, z_pow) = (xs[u], z_pows[u]);
                 for (r, row_cells) in level_cells.chunks_exact_mut(width).enumerate() {
@@ -330,26 +341,31 @@ impl SamplerBank {
                     row_cells[col].update(index, delta, z_pow);
                 }
             }
+            *top = deepest as u8;
         }
     }
 
-    /// Accumulate physical levels `max..=0` of sampler `i`, calling `visit`
-    /// with the logical (cumulative) structure at each level, deepest first;
-    /// stops when `visit` returns `Some`.
+    /// Accumulate physical levels `top[i]..=0` of sampler `i` in `scratch`
+    /// (every level above the bound is zero, so its logical structure is
+    /// too), calling `visit` with the logical (cumulative) structure at each
+    /// level, deepest first; stops when `visit` returns `Some`.
     fn scan_levels<T>(
         &self,
         i: usize,
+        scratch: &mut DecodeScratch,
         mut visit: impl FnMut(&mut [OneSparse]) -> Option<T>,
     ) -> Option<T> {
         let lw = self.rows * self.width;
         let base = i * self.cells_per_sampler();
-        let mut acc = vec![OneSparse::default(); lw];
-        for level in (0..self.levels()).rev() {
+        let acc = &mut scratch.0;
+        acc.clear();
+        acc.resize(lw, OneSparse::default());
+        for level in (0..=self.top[i] as usize).rev() {
             let physical = &self.cells[base + level * lw..base + (level + 1) * lw];
             for (a, c) in acc.iter_mut().zip(physical) {
                 a.accumulate(c);
             }
-            if let Some(out) = visit(&mut acc) {
+            if let Some(out) = visit(acc) {
                 return Some(out);
             }
         }
@@ -391,7 +407,13 @@ impl SamplerBank {
     /// Draw sampler `i`'s sample: `Some((index, net_count))` on success —
     /// the same coordinate its [`L0Sampler`] reference would return.
     pub fn sample(&self, i: usize) -> Option<(u64, i64)> {
-        self.scan_levels(i, |acc| {
+        self.sample_with(i, &mut DecodeScratch::default())
+    }
+
+    /// [`Self::sample`] decoding in a caller-owned `scratch`, so a sweep
+    /// over many samplers allocates its workspace once.
+    pub fn sample_with(&self, i: usize, scratch: &mut DecodeScratch) -> Option<(u64, i64)> {
+        self.scan_levels(i, scratch, |acc| {
             if acc.iter().all(OneSparse::is_zero) {
                 return None; // logical level empty: go shallower
             }
@@ -408,7 +430,7 @@ impl SamplerBank {
     /// Decode *all* coordinates sampler `i`'s deepest non-empty logical
     /// level holds (mirrors [`L0Sampler::sample_all`]).
     pub fn sample_all(&self, i: usize) -> Option<Vec<(u64, i64)>> {
-        self.scan_levels(i, |acc| {
+        self.scan_levels(i, &mut DecodeScratch::default(), |acc| {
             if acc.iter().all(OneSparse::is_zero) {
                 return None;
             }
@@ -440,8 +462,9 @@ impl SamplerBank {
     pub fn logical_registers(&self, i: usize) -> Vec<(i64, i128, u64)> {
         let lw = self.rows * self.width;
         let mut out = vec![(0i64, 0i128, 0u64); self.levels() * lw];
-        let mut level = self.levels();
-        self.scan_levels::<()>(i, |acc| {
+        // Logical levels above the bound stay zero.
+        let mut level = self.top[i] as usize + 1;
+        self.scan_levels::<()>(i, &mut DecodeScratch::default(), |acc| {
             level -= 1;
             for (j, a) in acc.iter().enumerate() {
                 out[level * lw + j] = a.registers();
@@ -462,11 +485,20 @@ impl SamplerBank {
 
     /// Mutably visit every cell's registers in the same order
     /// (deserialization). Bumps the generation: the registers may change.
+    /// Recomputes every sampler's level bound exactly from the installed
+    /// cells, so a restored bank decodes as few levels as the live one.
     pub fn visit_cells_mut(&mut self, mut f: impl FnMut(&mut i64, &mut i128, &mut u64)) {
         self.generation += 1;
         for cell in &mut self.cells {
             let (c, s, fp) = cell.registers_mut();
             f(c, s, fp);
+        }
+        let (lw, cps) = (self.rows * self.width, self.cells_per_sampler());
+        for (top, sampler_cells) in self.top.iter_mut().zip(self.cells.chunks_exact(cps)) {
+            *top = sampler_cells
+                .chunks_exact(lw)
+                .rposition(|level| level.iter().any(|c| !c.is_zero()))
+                .unwrap_or(0) as u8;
         }
     }
 
@@ -475,6 +507,11 @@ impl SamplerBank {
         self.cells.len()
     }
 }
+
+/// Reusable decode workspace (one logical level's cells) for
+/// [`SamplerBank::sample_with`].
+#[derive(Debug, Clone, Default)]
+pub struct DecodeScratch(Vec<OneSparse>);
 
 #[inline]
 fn rows_width(rows: usize, width: usize) -> usize {
@@ -487,6 +524,7 @@ impl SpaceUsage for SamplerBank {
             + self.pow.space_bytes()
             + self.coeffs.capacity() * std::mem::size_of::<u64>()
             + self.cells.capacity() * std::mem::size_of::<OneSparse>()
+            + self.top.capacity()
     }
 }
 
@@ -613,6 +651,58 @@ mod tests {
         let bank = SamplerBank::new(1 << 20, 64, &mut r);
         let loose: Vec<L0Sampler> = (0..64).map(|_| L0Sampler::new(1 << 20, &mut r)).collect();
         assert!(bank.space_bytes() < loose.space_bytes());
+    }
+
+    /// The deepest level of sampler `i` holding a nonzero cell (0 if none).
+    fn exact_top(bank: &SamplerBank, i: usize) -> u8 {
+        let (lw, cps) = (bank.rows * bank.width, bank.cells_per_sampler());
+        bank.cells[i * cps..(i + 1) * cps]
+            .chunks_exact(lw)
+            .rposition(|level| level.iter().any(|c| !c.is_zero()))
+            .unwrap_or(0) as u8
+    }
+
+    #[test]
+    fn restore_recomputes_every_level_bound_exactly() {
+        let mut live = SamplerBank::new(1 << 16, 16, &mut rng(21));
+        let coords: Vec<u64> = (0..300u64).map(|j| j * 977 % (1 << 16)).collect();
+        for &x in &coords {
+            live.update(x, 1);
+        }
+        // Retract all but every tenth coordinate, through `update` and
+        // `update_batch`: the live bounds stay where the deepest deleted
+        // coordinates sat.
+        let retract: Vec<(u64, i64)> = coords
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| j % 10 != 0)
+            .map(|(_, &x)| (x, -1))
+            .collect();
+        let (scalar, batched) = retract.split_at(retract.len() / 2);
+        for &(x, d) in scalar {
+            live.update(x, d);
+        }
+        live.update_batch(batched);
+        for i in 0..live.len() {
+            assert!(
+                exact_top(&live, i) <= live.top[i],
+                "live bound is an upper bound"
+            );
+        }
+        let mut regs = Vec::new();
+        live.visit_cells(|c, s, f| regs.push((c, s, f)));
+        let mut restored = SamplerBank::new(1 << 16, 16, &mut rng(21));
+        let mut it = regs.iter();
+        restored.visit_cells_mut(|c, s, f| (*c, *s, *f) = *it.next().unwrap());
+        for i in 0..restored.len() {
+            assert_eq!(restored.top[i], exact_top(&restored, i), "sampler {i}");
+            assert!(restored.top[i] <= live.top[i], "sampler {i}");
+            assert_eq!(restored.sample_all(i), live.sample_all(i), "sampler {i}");
+        }
+        assert!(
+            (0..live.len()).any(|i| restored.top[i] < live.top[i]),
+            "some live bound went stale-high, and the restore tightened it"
+        );
     }
 
     #[test]

@@ -140,3 +140,138 @@ proptest! {
         }
     }
 }
+
+/// Cells per level of `bank`'s samplers.
+fn per_level(bank: &SamplerBank) -> usize {
+    let cfg = bank.config();
+    cfg.rows * 2 * cfg.sparsity
+}
+
+/// The level sampler `i` of `bank` files coordinate `x` at: the deepest
+/// nonzero logical level of a reference sampler fed `x` alone.
+fn level_of(bank: &SamplerBank, i: usize, x: u64) -> usize {
+    let mut s = bank.reference_sampler(i);
+    s.update(x, 1);
+    let mut regs = Vec::new();
+    s.visit_cells(|c, ix, f| regs.push((c, ix, f)));
+    regs.chunks_exact(per_level(bank))
+        .rposition(|level| level.iter().any(|&r| r != (0, 0, 0)))
+        .expect("a fed coordinate is nonzero at level 0")
+}
+
+#[test]
+fn deleting_a_samplers_deepest_coordinate_leaves_no_trace() {
+    const DIM: u64 = 1 << 14;
+    for seed in [3u64, 17, 29] {
+        // A lone coordinate inserted and deleted: every sampler's level
+        // bound stays where that coordinate sat, over an empty support.
+        let (mut bank, mut refs) = bank_and_refs(DIM, 3, seed);
+        apply(
+            &mut bank,
+            &mut refs,
+            &[(seed * 41 % DIM, 1), (seed * 41 % DIM, -1)],
+        );
+        assert_agree(&bank, &refs, &format!("seed {seed} lone"));
+        for i in 0..bank.len() {
+            assert_eq!(bank.sample(i), None);
+        }
+
+        // Per slot: delete every coordinate on the sampler's deepest
+        // occupied level while shallower ones stay live, then reinsert.
+        let coords: Vec<u64> = (0..200u64).map(|j| (j * 733 + seed) % DIM).collect();
+        for slot in 0..3 {
+            let (mut bank, mut refs) = bank_and_refs(DIM, 3, seed.wrapping_mul(5) + slot as u64);
+            let inserts: Vec<(u64, i64)> = coords.iter().map(|&x| (x, 1)).collect();
+            apply(&mut bank, &mut refs, &inserts);
+            let deepest = coords
+                .iter()
+                .map(|&x| level_of(&bank, slot, x))
+                .max()
+                .unwrap();
+            let doomed: Vec<(u64, i64)> = coords
+                .iter()
+                .filter(|&&x| level_of(&bank, slot, x) == deepest)
+                .map(|&x| (x, -1))
+                .collect();
+            assert!(
+                doomed.len() < coords.len(),
+                "shallower coordinates stay live"
+            );
+            apply(&mut bank, &mut refs, &doomed);
+            let label = format!("seed {seed} slot {slot} deepest {deepest}");
+            assert_agree(&bank, &refs, &label);
+            assert!(
+                bank.logical_registers(slot)[deepest * per_level(&bank)..]
+                    .iter()
+                    .all(|&r| r == (0, 0, 0)),
+                "{label}: the emptied level reads zero"
+            );
+            let back: Vec<(u64, i64)> = doomed.iter().map(|&(x, _)| (x, 1)).collect();
+            apply(&mut bank, &mut refs, &back[..1]);
+            assert_agree(&bank, &refs, &format!("{label} reinserted"));
+        }
+    }
+}
+
+#[test]
+fn restore_mid_stream_then_keep_updating_agrees() {
+    const DIM: u64 = 1 << 13;
+    for seed in [5u64, 6, 7] {
+        let (mut bank, mut refs) = bank_and_refs(DIM, 4, seed);
+        let first: Vec<(u64, i64)> = (0..300u64).map(|j| ((j * 389 + seed) % DIM, 1)).collect();
+        apply(&mut bank, &mut refs, &first);
+        // Retract two thirds, so the live bank's bounds sit above the cells.
+        let retract: Vec<(u64, i64)> = first
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| j % 3 != 0)
+            .map(|(_, &(x, _))| (x, -1))
+            .collect();
+        apply(&mut bank, &mut refs, &retract);
+
+        let mut regs = Vec::new();
+        bank.visit_cells(|c, s, f| regs.push((c, s, f)));
+        let (mut restored, _) = bank_and_refs(DIM, 4, seed);
+        let mut it = regs.iter();
+        restored.visit_cells_mut(|c, s, f| (*c, *s, *f) = *it.next().unwrap());
+        assert!(it.next().is_none());
+        assert_agree(&restored, &refs, &format!("seed {seed} restored"));
+
+        let more: Vec<(u64, i64)> = (0..150u64)
+            .map(|j| ((j * 1201 + 7 * seed) % DIM, if j % 4 == 3 { -1 } else { 1 }))
+            .collect();
+        for &(x, d) in &more {
+            bank.update(x, d);
+        }
+        apply(&mut restored, &mut refs, &more);
+        assert_agree(&restored, &refs, &format!("seed {seed} restored + more"));
+        assert_agree(&bank, &refs, &format!("seed {seed} live + more"));
+    }
+}
+
+#[test]
+fn batched_and_scalar_paths_each_match_the_reference() {
+    // 96 samplers over 2^14 hold > 2 MiB of cells: `update_batch` takes its
+    // sampler-outer sweep rather than the scalar fallback.
+    const DIM: u64 = 1 << 14;
+    const COUNT: usize = 96;
+    let (mut scalar, mut refs) = bank_and_refs(DIM, COUNT, 71);
+    let (mut batched, _) = bank_and_refs(DIM, COUNT, 71);
+    let inserts: Vec<(u64, i64)> = (0..400u64).map(|j| ((j * 577 + 3) % DIM, 1)).collect();
+    // Retract all but every fifth: most samplers lose their deepest
+    // coordinate, in both paths.
+    let deletes: Vec<(u64, i64)> = inserts
+        .iter()
+        .enumerate()
+        .filter(|(j, _)| j % 5 != 0)
+        .map(|(_, &(x, _))| (x, -1))
+        .collect();
+    for stage in [&inserts, &deletes] {
+        apply(&mut scalar, &mut refs, stage);
+        for chunk in stage.chunks(64) {
+            batched.update_batch(chunk);
+        }
+        assert_agree(&scalar, &refs, "scalar");
+        assert_agree(&batched, &refs, "batched");
+    }
+}
