@@ -486,19 +486,22 @@ impl SamplerBank {
     /// Mutably visit every cell's registers in the same order
     /// (deserialization). Bumps the generation: the registers may change.
     /// Recomputes every sampler's level bound exactly from the installed
-    /// cells, so a restored bank decodes as few levels as the live one.
+    /// cells, in the same pass, so a restored bank decodes as few levels as
+    /// the live one.
     pub fn visit_cells_mut(&mut self, mut f: impl FnMut(&mut i64, &mut i128, &mut u64)) {
         self.generation += 1;
-        for cell in &mut self.cells {
-            let (c, s, fp) = cell.registers_mut();
-            f(c, s, fp);
-        }
         let (lw, cps) = (self.rows * self.width, self.cells_per_sampler());
-        for (top, sampler_cells) in self.top.iter_mut().zip(self.cells.chunks_exact(cps)) {
-            *top = sampler_cells
-                .chunks_exact(lw)
-                .rposition(|level| level.iter().any(|c| !c.is_zero()))
-                .unwrap_or(0) as u8;
+        for (top, sampler_cells) in self.top.iter_mut().zip(self.cells.chunks_exact_mut(cps)) {
+            *top = 0;
+            for (level, level_cells) in sampler_cells.chunks_exact_mut(lw).enumerate() {
+                for cell in level_cells {
+                    let (c, s, fp) = cell.registers_mut();
+                    f(c, s, fp);
+                    if !cell.is_zero() {
+                        *top = level as u8;
+                    }
+                }
+            }
         }
     }
 
